@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DegenerateWeight, IllConditioned, InvalidParameters, UnsupportedMeasure
 from .geometry import ArcRegion, Disc, Moon, TruncatedPlane
@@ -143,7 +142,7 @@ def gram_matrix(domain, w, p=None, s=None, N=10, tol=1e-10, rule_order=8, max_ce
         V = _vander(grid.nodes[lo : lo + _CHUNK], p, s, N)
         G += V.T @ (wd[lo : lo + _CHUNK, None] * np.conj(V))
     G = 0.5 * (G + G.conj().T)
-    evals = scipy.linalg.eigvalsh(G)
+    evals = np.linalg.eigvalsh(G)
     pd = bool(evals[0] > 0)
     cond = float(evals[-1] / evals[0]) if pd else math.inf
     return GramMatrix(
@@ -158,46 +157,36 @@ def gram_matrix(domain, w, p=None, s=None, N=10, tol=1e-10, rule_order=8, max_ce
     )
 
 
-def _blocked_lsq(grid, w, p, s, N, target, fixed=None):
+def _blocked_lsq(grid, w, p, s, N, target):
     """Tall-skinny QR of the weighted Vandermonde, with distance history.
 
-    fixed pins the first len(fixed) scaled-basis coefficients; the remaining
-    columns are solved in the least-squares sense. Returns
-    (coeffs, distances, cond, b_norm_sq).
+    Returns (coeffs, distances, cond, target_norm_sq), the last being the
+    squared weighted norm of the target itself.
     """
     sqw = np.sqrt(grid.weights * weight_factor(w, grid.nodes))
-    n_fix = 0 if fixed is None else len(fixed)
-    free = list(range(n_fix, N + 1))
 
     colnorm_sq = np.zeros(N + 1)
-    b_norm_sq = 0.0
     for lo in range(0, len(grid.nodes), _CHUNK):
         V = _vander(grid.nodes[lo : lo + _CHUNK], p, s, N) * sqw[lo : lo + _CHUNK, None]
         colnorm_sq += np.sum(np.abs(V) ** 2, axis=0)
     colnorm = np.sqrt(colnorm_sq)
     colnorm[colnorm == 0] = 1.0
-    d_scale = 1.0 / colnorm[free]
+    d_scale = 1.0 / colnorm
 
-    R = np.zeros((0, len(free)), dtype=complex)
-    t = np.zeros(0, dtype=complex)
+    # triangular factor of [A | b], carried across chunks: its top rows hold
+    # R and t = Q^H b, so Q is never formed
+    Rb = np.zeros((0, N + 2), dtype=complex)
+    b_norm_sq = 0.0
     for lo in range(0, len(grid.nodes), _CHUNK):
         nodes = grid.nodes[lo : lo + _CHUNK]
         V = _vander(nodes, p, s, N) * sqw[lo : lo + _CHUNK, None]
         b = target(nodes) * sqw[lo : lo + _CHUNK]
-        if fixed is not None:
-            b = b - V[:, :n_fix] @ np.asarray(fixed, dtype=complex)
         b_norm_sq += float(np.sum(np.abs(b) ** 2))
-        A = V[:, free] * d_scale[None, :]
-        M = np.vstack([R, A])
-        rhs = np.concatenate([t, b])
-        Q, R = scipy.linalg.qr(M, mode="economic")
-        t = Q.conj().T @ rhs
+        Rb = np.linalg.qr(np.vstack([Rb, np.column_stack([V * d_scale[None, :], b])]), mode="r")
+    R, t = Rb[: N + 1, : N + 1], Rb[: N + 1, N + 1]
 
-    y = scipy.linalg.solve_triangular(R, t)
-    coeffs = np.zeros(N + 1, dtype=complex)
-    if fixed is not None:
-        coeffs[:n_fix] = np.asarray(fixed, dtype=complex)
-    coeffs[free] = y * d_scale
+    # R is upper triangular, so the LU inside solve does no pivoting
+    coeffs = np.linalg.solve(R, t) * d_scale
 
     # explicit residual pass: backward-stable final distance
     res_sq = 0.0
@@ -207,16 +196,10 @@ def _blocked_lsq(grid, w, p, s, N, target, fixed=None):
         b = target(nodes) * sqw[lo : lo + _CHUNK]
         res_sq += float(np.sum(np.abs(b - V @ coeffs) ** 2))
 
-    d_final_sq = res_sq
-    distances = np.full(N + 1, np.nan)
-    tail = 0.0
-    tails = np.zeros(len(free))
-    for i in range(len(free) - 1, -1, -1):
-        tails[i] = tail
-        tail += abs(t[i]) ** 2
-    for i, k in enumerate(free):
-        distances[k] = math.sqrt(max(0.0, d_final_sq + tails[i]))
-    cond = float(np.linalg.cond(R)) if R.size else 1.0
+    # d_k^2 = residual^2 + sum_{i>k} |t_i|^2
+    tails = np.append(np.cumsum(np.abs(t[:0:-1]) ** 2)[::-1], 0.0)
+    distances = np.sqrt(np.maximum(0.0, res_sq + tails))
+    cond = float(np.linalg.cond(R))
     return coeffs, distances, cond, b_norm_sq
 
 
@@ -241,6 +224,13 @@ def best_poly_approx(
     is Q * P in that case and distances refer to ||f - Q P||.
     """
     p, s = _resolve_ps(domain, p, s)
+    return _best_approx(
+        f, domain, w, p, s, n, tol, f_singularities, divisor_Q, rule_order, max_cells
+    )[0]
+
+
+def _best_approx(f, domain, w, p, s, n, tol, f_singularities, divisor_Q, rule_order, max_cells):
+    """best_poly_approx at a resolved (p, s), plus the weighted norm ||f||."""
     if divisor_Q is None:
         _check_weight(domain, w)
         target = f
@@ -269,11 +259,11 @@ def best_poly_approx(
         return np.abs(target(z)) ** 2
 
     grid = _scan_grid(domain, eff_w, p, s, n, f_abs2, singular, tol, rule_order, max_cells)
-    coeffs, distances, cond, _ = _blocked_lsq(grid, eff_w, p, s, n, target)
+    coeffs, distances, cond, f_norm_sq = _blocked_lsq(grid, eff_w, p, s, n, target)
     poly = Polynomial(tuple(coeffs), p, s)
     if divisor_Q is not None:
         poly = divisor_Q.recenter(p, s) * poly
-    return ApproximationResult(
+    result = ApproximationResult(
         degree=n,
         polynomial=poly,
         distance=float(distances[n]),
@@ -282,6 +272,7 @@ def best_poly_approx(
         cond_estimate=cond,
         ill_conditioned=cond > _ILL_COND,
     )
+    return result, math.sqrt(f_norm_sq)
 
 
 def best_poly_approx_with_jet(
@@ -300,29 +291,41 @@ def best_poly_approx_with_jet(
     """Best approximation whose Taylor jet at p is pinned to the given values.
 
     jet lists the Taylor coefficients c_0..c_m of the approximant at p
-    (m <= n); the remaining degrees of freedom are solved by least squares.
+    (m <= n). With J the jet polynomial and Q = ((z - p)/s)^(m+1), the
+    approximant is J + Q P, and ||f - J - Q P|| under phi equals
+    ||(f - J)/Q - P|| under phi - 2 log|Q|: the divisor route of
+    best_poly_approx applied to f - J. distances[m] is ||f - J||, since J is
+    the only feasible polynomial of degree m; lower entries are NaN.
     """
     p, s = _resolve_ps(domain, p, s)
-    if len(jet) > n + 1:
+    k = len(jet)
+    if k > n + 1:
         raise InvalidParameters("jet order exceeds the polynomial degree")
     _check_weight(domain, w)
-    singular = tuple(w.quadrature_singularities()) + tuple(f_singularities)
+    J = Polynomial.from_taylor(jet, p, s)
+    Q = Polynomial((0,) * k + (1,), p, s)
 
-    def f_abs2(z):
-        return np.abs(f(z)) ** 2
+    def rest(z):
+        return f(z) - J(z)
 
-    grid = _scan_grid(domain, w, p, s, n, f_abs2, singular, tol, rule_order, max_cells)
-    k = np.arange(len(jet))
-    fixed = np.asarray(jet, dtype=complex) * (s**k)
-    coeffs, distances, cond, _ = _blocked_lsq(grid, w, p, s, n, f, fixed=fixed)
+    # a fully pinned jet leaves no free coefficient: the degree-0 solve only
+    # supplies ||f - J||, and the slices below drop its Q P
+    res, rest_norm = _best_approx(
+        rest, domain, w, p, s, max(n - k, 0), tol, f_singularities, Q, rule_order, max_cells
+    )
+    distances = np.concatenate([np.full(k, np.nan), res.distances[: n - k + 1]])
+    coeffs = np.array(res.polynomial.coeffs[: n + 1])
+    coeffs[:k] += J.coeffs
+    if k:
+        distances[k - 1] = rest_norm
     return ApproximationResult(
         degree=n,
         polynomial=Polynomial(tuple(coeffs), p, s),
         distance=float(distances[n]),
         distances=distances,
-        error_budget=grid.error_estimate,
-        cond_estimate=cond,
-        ill_conditioned=cond > _ILL_COND,
+        error_budget=res.error_budget,
+        cond_estimate=res.cond_estimate,
+        ill_conditioned=res.ill_conditioned,
     )
 
 
@@ -342,10 +345,10 @@ def extremal_basis(
     N = gram.degree
     rev = G[::-1, ::-1]
     try:
-        L = scipy.linalg.cholesky(rev, lower=True)
-    except scipy.linalg.LinAlgError as exc:
+        L = np.linalg.cholesky(rev)
+    except np.linalg.LinAlgError as exc:
         raise IllConditioned(f"Gram Cholesky broke down (cond ~ {gram.cond_estimate:.2e})") from exc
-    B = scipy.linalg.solve_triangular(L.conj().T, np.eye(N + 1), lower=False)
+    B = np.linalg.inv(L.conj().T)
     basis = []
     for n in range(N + 1):
         j = N - n

@@ -7,31 +7,15 @@ reports, every file embedding the resolved config; reruns with identical
 configs are bit-identical (no timestamps, sorted keys, repr floats).
 
 Exit codes: 0 success, 1 invalid config, 2 numerical failure. Heuristic
-verdicts are advisory text and never affect the exit code. The WBL_THREADS
-environment variable caps BLAS parallelism when threadpoolctl is installed.
+verdicts are advisory text and never affect the exit code.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
-
-
-def _apply_thread_cap():
-    cap = os.environ.get("WBL_THREADS")
-    if not cap:
-        return
-    n = max(1, int(cap))
-    try:
-        import threadpoolctl
-
-        threadpoolctl.threadpool_limits(limits=n)
-    except ImportError:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, str(n))
 
 
 def _write_json(path: Path, obj) -> None:
@@ -296,7 +280,6 @@ _RUNNERS = {
 
 
 def main(argv=None) -> int:
-    _apply_thread_cap()
     parser = argparse.ArgumentParser(
         prog="wbl", description="Weighted-L2 polynomial approximation experiments"
     )
@@ -306,7 +289,6 @@ def main(argv=None) -> int:
         sp.add_argument("--config", required=needs_config, help="JSON experiment config")
         sp.add_argument("--out", default=".", help="output directory")
         sp.add_argument("--tol", type=float, default=None, help="quadrature tolerance override")
-        sp.add_argument("--seed", type=int, default=0, help="seed for Monte-Carlo oracles")
         if name == "certify":
             sp.add_argument("--p", type=float, required=True, help="weight exponent in (0,1)")
             sp.add_argument("--M", type=float, default=None, help="norm budget; computed if absent")

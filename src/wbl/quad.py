@@ -150,9 +150,12 @@ class _Engine:
 
     # ---- cell evaluation -------------------------------------------------
 
-    def _rule(self, t0, t1, u0, u1, br):
-        """Tensor GL value of a batch of cells, shape (B,)."""
-        xg, wg = _gl(self.q)
+    def _nodes(self, t0, t1, u0, u1, br):
+        """Tensor GL nodes z of a batch of cells and their Jacobians r * width.
+
+        Both have shape (B, q, q), indexed by cell, theta node and u node.
+        """
+        xg, _ = _gl(self.q)
         B = len(t0)
         theta = t0[:, None] + 0.5 * (xg + 1.0)[None, :] * (t1 - t0)[:, None]
         sec = self._sections(theta.ravel()).reshape(B, self.q, self.nb, 2)
@@ -165,8 +168,14 @@ class _Engine:
         u = u0[:, None] + 0.5 * (xg + 1.0)[None, :] * (u1 - u0)[:, None]
         r = lo[:, :, None] + width[:, :, None] * u[:, None, :]
         z = self.center + r * np.exp(1j * theta)[:, :, None]
-        vals = np.asarray(self.g(z.reshape(-1)), dtype=complex).reshape(B, self.q, self.q)
-        integ = vals * (r * width[:, :, None])
+        return z, r * width[:, :, None]
+
+    def _rule(self, t0, t1, u0, u1, br):
+        """Tensor GL value of a batch of cells, shape (B,)."""
+        _, wg = _gl(self.q)
+        z, jac = self._nodes(t0, t1, u0, u1, br)
+        vals = np.asarray(self.g(z.reshape(-1)), dtype=complex).reshape(z.shape)
+        integ = vals * jac
         inner = (integ * wg[None, None, :]).sum(axis=2)
         total = (inner * wg[None, :]).sum(axis=1)
         return total * 0.25 * (t1 - t0) * (u1 - u0)
@@ -384,21 +393,9 @@ class _Engine:
         return value, err
 
     def export_grid(self):
-        xg, wg = _gl(self.q)
-        B = len(self.t0)
-        theta = self.t0[:, None] + 0.5 * (xg + 1.0)[None, :] * (self.t1 - self.t0)[:, None]
-        sec = self._sections(theta.ravel()).reshape(B, self.q, self.nb, 2)
-        rows = np.broadcast_to(np.arange(B)[:, None], (B, self.q))
-        cols = np.broadcast_to(np.arange(self.q)[None, :], (B, self.q))
-        bi = np.broadcast_to(self.br[:, None], (B, self.q))
-        lo = sec[rows, cols, bi, 0]
-        hi = sec[rows, cols, bi, 1]
-        width = np.maximum(0.0, hi - lo)
-        u = self.u0[:, None] + 0.5 * (xg + 1.0)[None, :] * (self.u1 - self.u0)[:, None]
-        r = lo[:, :, None] + width[:, :, None] * u[:, None, :]
-        z = self.center + r * np.exp(1j * theta)[:, :, None]
+        _, wg = _gl(self.q)
+        z, jac = self._nodes(self.t0, self.t1, self.u0, self.u1, self.br)
         w2 = wg[None, :, None] * wg[None, None, :]
-        jac = r * width[:, :, None]
         wts = w2 * jac * (0.25 * (self.t1 - self.t0) * (self.u1 - self.u0))[:, None, None]
         cells = np.rec.fromarrays(
             [self.br, self.t0, self.t1, self.u0, self.u1, self.est],

@@ -153,6 +153,21 @@ def test_jet_forced_constant(unit_disc):
     )
     assert r.distance == pytest.approx(math.sqrt(math.pi), rel=1e-10)
     assert np.allclose(r.polynomial.coeffs, [1, 1], atol=1e-10)
+    # the constant 1 is the only feasible polynomial of degree 0
+    assert r.distances[0] == pytest.approx(math.sqrt(1.5 * math.pi), rel=1e-10)
+
+
+def test_jet_fully_pinned(unit_disc):
+    """With len(jet) == n + 1 the jet polynomial J is the answer: d_n = ||f - J||."""
+
+    def f(z):
+        return np.asarray(z, dtype=complex) ** 2
+
+    r = best_poly_approx_with_jet(f, unit_disc, ZeroWeight(), 0j, 1.0, 1, jet=(0.5, 1.0))
+    # ||z^2 - z - 1/2||^2 = pi/3 + pi/2 + pi/4 by orthogonality of monomials
+    assert r.distance == pytest.approx(math.sqrt(13 * math.pi / 12), rel=1e-10)
+    assert math.isnan(r.distances[0])
+    assert np.allclose(r.polynomial.coeffs, [0.5, 1.0], atol=1e-14)
 
 
 def test_jet_matching_truth_is_free(unit_disc):

@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import wbl
 from wbl.cli import main
 
 DISC_SCAN = {
@@ -159,8 +164,17 @@ def test_reruns_are_bit_identical(tmp_path):
     assert (out1 / "density_scan.csv").read_bytes() == (out2 / "density_scan.csv").read_bytes()
 
 
-def test_thread_cap_env(tmp_path, monkeypatch):
-    monkeypatch.setenv("WBL_THREADS", "1")
-    cfg = dict(DISC_SCAN, N_max=3)
-    rc = main(["density-scan", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path)])
-    assert rc == 0
+def test_import_loads_no_scipy():
+    # a fresh interpreter, since this test process may already hold scipy
+    src = str(Path(wbl.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = "import sys, wbl; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
