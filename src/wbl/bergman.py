@@ -17,7 +17,8 @@ import numpy as np
 
 from .errors import DegenerateWeight, IllConditioned, InvalidParameters, UnsupportedMeasure
 from .geometry import ArcRegion, Disc, Moon, TruncatedPlane
-from .quad import build_grid, integrate, weight_factor
+# integrate stays importable here: perfbench/tracing.py patches wbl.bergman.integrate
+from .quad import build_grid, integrate, weight_factor  # noqa: F401
 from .weights import Polynomial
 
 _CHUNK = 200_000
@@ -106,13 +107,7 @@ def _scan_grid(domain, w, p, s, N, f_abs2, singular, tol, rule_order, max_cells)
             env = env + f_abs2(z)
         return env * weight_factor(w, z)
 
-    rough, _ = integrate(
-        domain, pilot, singular, tol=0.0, rel=0.03, rule_order=rule_order, max_cells=4000
-    )
-    abs_tol = max(tol * abs(rough), 1e-306)
-    return build_grid(
-        domain, pilot, singular, tol=abs_tol, rule_order=rule_order, max_cells=max_cells
-    )
+    return build_grid(domain, pilot, singular, tol, rule_order, max_cells)
 
 
 def _vander(nodes, p, s, N):

@@ -48,7 +48,7 @@ class QuadratureGrid:
     approximates the integral of h over the domain for any h resolved by the
     cells. error_estimate is the adaptive estimate for the pilot integrand the
     grid was built for, including the analytic bounds of excluded singular
-    cores.
+    cores. tol is relative to the pilot integral (value).
     """
 
     domain: object
@@ -105,11 +105,11 @@ def _core_bound(g, point, rho, order):
 
 
 class _Engine:
-    def __init__(self, domain, g, singular_points, tol, rule_order, max_cells, rel=0.0):
+    def __init__(self, domain, g, singular_points, tol, rule_order, max_cells, relative=False):
         self.domain = domain
         self.g = g
         self.tol = float(tol)
-        self.rel = float(rel)
+        self.relative = relative
         self.q = int(rule_order)
         self.max_cells = int(max_cells)
         self.center = domain.radial_center()
@@ -133,7 +133,7 @@ class _Engine:
         return self.domain.radial_sections(theta)
 
     def _locate(self, z):
-        """(theta, u, branch) coordinates of an interior point, or None."""
+        """(theta, u, branch, width / r) of an interior point, or None."""
         dz = z - self.center
         r = abs(dz)
         if r <= 1e-12 * self.scale:
@@ -145,7 +145,7 @@ class _Engine:
             if hi - lo > 0 and lo - 1e-12 <= r <= hi + 1e-12:
                 width = hi - lo
                 u = min(max((r - lo) / width, 0.0), 1.0)
-                return theta, u, b
+                return theta, u, b, width / r
         return None
 
     # ---- cell evaluation -------------------------------------------------
@@ -232,7 +232,7 @@ class _Engine:
         loc = self._locate(point)
         if loc is None:
             return
-        theta_s, u_s, b_s = loc
+        theta_s, u_s, b_s, u_scale = loc
         # find the initial cell holding the point
         hold = None
         for i in range(len(self.t0)):
@@ -250,23 +250,27 @@ class _Engine:
         for _ in range(600):
             rho = self._rect_radius(rect, b_s, point)
             bound = _core_bound(self.g, point, rho, order)
-            if bound <= budget or rho < 1e-120 * self.scale:
+            # split only sides spanning >= 1e-13 r (r = |point - center|), far
+            # above the (theta, r) resolution, so no split or node hits the point
+            t0, t1, u0, u1 = rect
+            cut = (t1 - t0 >= 1e-13, (u1 - u0) * u_scale >= 1e-13)
+            if bound <= budget or not any(cut):
                 break
-            rect = self._split_toward(rect, b_s, theta_s, u_s)
+            rect = self._split_toward(rect, b_s, theta_s, u_s, *cut)
         self.cores.append(_Core(point, order, bound))
 
-    def _split_toward(self, rect, branch, theta_s, u_s):
-        """Split a cell into 4, keep the child holding the point strictly inside."""
+    def _split_toward(self, rect, branch, theta_s, u_s, cut_t, cut_u):
+        """Split the cut sides of a cell, keep the child holding the point strictly inside."""
         t0, t1, u0, u1 = rect
-        tm = self._off_center_split(t0, t1, theta_s)
-        um = self._off_center_split(u0, u1, u_s)
-        t_side = (t0, tm) if theta_s < tm else (tm, t1)
-        u_side = (u0, um) if u_s < um else (um, u1)
+        tm = self._off_center_split(t0, t1, theta_s) if cut_t else t1
+        um = self._off_center_split(u0, u1, u_s) if cut_u else u1
+        t_side = (t0, tm) if theta_s <= tm else (tm, t1)
+        u_side = (u0, um) if u_s <= um else (um, u1)
         keep = t_side + u_side
         others = []
         for ta, tb in ((t0, tm), (tm, t1)):
             for ua, ub in ((u0, um), (um, u1)):
-                if (ta, tb, ua, ub) != keep:
+                if (ta, tb, ua, ub) != keep and ta < tb and ua < ub:
                     others.append((ta, tb, ua, ub))
         arr = np.array(others)
         self._append(
@@ -333,6 +337,13 @@ class _Engine:
         center_in = bool(self.domain.contains(self.center)) and bool(center_sing)
         n_treat = len(interior) + (1 if center_in else 0)
         budget = 0.25 * self.tol / max(1, n_treat)
+        if self.relative:
+            # core budgets are fixed before refinement, so they take the mass
+            # from one rule on each initial (theta segment, branch) cell
+            t = np.repeat(np.array(edges), self.nb, axis=0)
+            br = np.tile(np.arange(self.nb), len(edges))
+            u = np.zeros(len(br))
+            budget *= abs(complex(self._rule(t[:, 0], t[:, 1], u, u + 1.0, br).sum()))
 
         u_edges_graded = [(0.0, 1.0)]
         if center_in:
@@ -366,7 +377,7 @@ class _Engine:
 
         core_total = sum(c.bound for c in self.cores)
         while True:
-            tol_eff = max(self.tol, self.rel * abs(complex(self.val.sum())))
+            tol_eff = self.tol * abs(complex(self.val.sum())) if self.relative else self.tol
             total = float(self.est.sum()) + core_total
             if total <= tol_eff:
                 break
@@ -412,20 +423,18 @@ def integrate(
     rule_order: int = 8,
     max_cells: int = 100_000,
     strict: bool = False,
-    rel: float = 0.0,
 ):
     """Integral of g over the domain with an error estimate.
 
     Returns (value, err) with |value - integral| <= err expected and err <= tol
-    on success (tol is absolute; pass rel to loosen it to rel * |value| for
-    pilot passes). With strict=True a result above tolerance raises
-    ToleranceNotMet carrying the best value. Point singularities of g must be
-    listed in singular_points and have integrable order (< 2); g must be
-    evaluable on small rings around them.
+    on success (tol is absolute). With strict=True a result above tolerance
+    raises ToleranceNotMet carrying the best value. Point singularities of g
+    must be listed in singular_points and have integrable order (< 2); g must
+    be evaluable on small rings around them.
     """
-    eng = _Engine(domain, g, singular_points, tol, rule_order, max_cells, rel)
+    eng = _Engine(domain, g, singular_points, tol, rule_order, max_cells)
     value, err = eng.run()
-    if strict and err > max(tol, rel * abs(value)):
+    if strict and err > tol:
         raise ToleranceNotMet(f"error estimate {err:.3e} exceeds tol {tol:.3e}", value, err)
     return value, err
 
@@ -440,12 +449,13 @@ def build_grid(
 ) -> QuadratureGrid:
     """Adapt a grid to the pilot integrand and export reusable nodes/weights.
 
+    One adaptive pass, aiming at error_estimate <= tol * |pilot integral|.
     The exported nodes realize the plain Lebesgue measure on the domain.
     Integrands with the same singular structure and smoothness as the pilot
     are integrated by sum(weights * h(nodes)) with accuracy comparable to the
     pilot's error estimate.
     """
-    eng = _Engine(domain, pilot, singular_points, tol, rule_order, max_cells)
+    eng = _Engine(domain, pilot, singular_points, tol, rule_order, max_cells, relative=True)
     value, err = eng.run()
     nodes, weights, cells = eng.export_grid()
     return QuadratureGrid(
@@ -464,9 +474,10 @@ def build_grid(
 def weight_factor(w, z):
     """exp(-phi(z)), capped at exp(700) so atom blowups stay finite.
 
-    The capped zone lies inside excluded singular cores whenever the atoms are
-    listed as singular points, so the cap never biases a reported value beyond
-    the core bounds already counted in the error estimate.
+    When the atoms are listed as singular points, the engine's ladder toward
+    each splits no core side below 1e-13 |atom - radial center|, far above
+    the (theta, r) resolution, so no node sits on an atom and, for atoms of
+    integrable order, every node stays outside the capped zone.
     """
     return np.exp(np.minimum(-np.asarray(w.evaluate(z), dtype=float), 700.0))
 

@@ -51,6 +51,27 @@ def test_gram_log_potential(unit_disc):
     assert np.allclose(diag, 2 * math.pi / (2 * np.arange(7) + 1), rtol=1e-8)
 
 
+# G_00 = int_disc |z - z0|^-alpha dA = int_0^2pi R(t)^(2-alpha) dt / (2 - alpha) at
+# z0 = 0.3+0.2i, R(t) the distance from z0 to the unit circle in direction t
+# (mpmath at 30 digits)
+OFFCENTER_G00 = {1.2: 7.600794368208509, 1.4: 10.174235467232133}
+
+
+def test_gram_and_scan_offcenter_atom(unit_disc):
+    w = LogPotential([(0.3 + 0.2j, 1.2)])
+    g = gram_matrix(unit_disc, w, N=3)
+    assert abs(g.matrix[0, 0].real - OFFCENTER_G00[1.2]) <= 1e-9
+    scan = density_scan(pole_target(2.0), unit_disc, w, N_max=10)
+    assert scan.approx.error_budget <= 1e-8
+
+
+def test_gram_offcenter_atom_at_ladder_floor(unit_disc):
+    # the core bound at the ladder floor exceeds the tol share; it is reported
+    g = gram_matrix(unit_disc, LogPotential([(0.3 + 0.2j, 1.4)]), N=3)
+    g00 = g.matrix[0, 0].real
+    assert abs(g00 - OFFCENTER_G00[1.4]) <= g.error_budget <= 1e-7 * g00
+
+
 def test_gram_moon_monte_carlo_oracle(unit_moon):
     g = gram_matrix(unit_moon, ZeroWeight(), 0j, 1.0, 6, 1e-10, rule_order=12)
     gen = np.random.default_rng(424242)

@@ -16,7 +16,7 @@ from wbl import (
     truncation_tail,
     weighted_norm_sq,
 )
-from wbl.quad import inner_product
+from wbl.quad import inner_product, weight_factor
 from wbl.errors import NonIntegrableSingularity, ToleranceNotMet, UnsupportedGrowth
 
 ONE = lambda z: np.ones(z.shape)
@@ -181,3 +181,22 @@ def test_atom_off_center(unit_disc):
     mc = vals.mean() * math.pi
     sigma = vals.std() / math.sqrt(len(vals)) * math.pi
     assert abs(v.real - mc) <= 4 * sigma + 1e-6
+
+    # order 1.4 at tol 1e-10: the singular ladder stops at its floor, and no
+    # exported node comes near the atom or into the capped zone of
+    # weight_factor. The second atom lies 1e-3 rad from the initial theta
+    # edge 5 pi / 4, where a floor on the core's longer reach let the shorter
+    # side collapse. exact: int_0^2pi R(t)^0.6 dt / 0.6 (mpmath), R(t) the
+    # distance from z0 to the unit circle in direction t
+    for z0, exact in (
+        (0.3 + 0.2j, 10.174235467232133),
+        (-0.1773314278149586 - 0.17696848320868075j, 10.331286503501083),
+    ):
+        w = LogPotential([(z0, 1.4)])
+        grid = build_grid(
+            unit_disc, lambda z: weight_factor(w, z), w.quadrature_singularities(), 1e-10,
+            max_cells=2000,
+        )
+        assert np.max(-w.evaluate(grid.nodes)) < 700
+        assert np.min(np.abs(grid.nodes - z0)) > 1e-14 * abs(z0)
+        assert abs(grid.value.real - exact) <= grid.error_estimate
