@@ -9,12 +9,13 @@ excluded cores around marked singular points.
 
 Each cell carries a tensor Gauss-Legendre rule; its error estimate is the
 difference between the cell value and the sum over its 2x2 split. Marked
-singular points get geometric pre-refinement toward them, and the innermost
-cell around each (the core) is excluded from the rule and bounded
-analytically using the sampled singularity order; core bounds are part of the
-reported error estimate. Refinement always processes the worst cells first
-with index ties broken deterministically, and final values are summed in
-creation order, so identical inputs give bit-identical results.
+singular points get geometric pre-refinement toward them in every initial cell
+whose closure holds them, with near-square cores: the innermost cell around
+each (the core) is excluded from the rule and bounded analytically using the
+sampled singularity order; core bounds are part of the reported error
+estimate. Refinement always processes the worst cells first with index ties
+broken deterministically, and final values are summed in creation order, so
+identical inputs give bit-identical results.
 """
 
 from __future__ import annotations
@@ -223,7 +224,8 @@ class _Engine:
         return u_core
 
     def _treat_point(self, point, budget):
-        """Pre-refine toward an interior singular point; exclude a tiny core."""
+        """Ladder every initial cell whose closure holds an interior singular
+        point toward it; exclude each ladder's near-square core."""
         order = _estimate_order(self.g, point, self.scale)
         if order >= 1.995:
             raise NonIntegrableSingularity(
@@ -233,34 +235,42 @@ class _Engine:
         if loc is None:
             return
         theta_s, u_s, b_s, u_scale = loc
-        # find the initial cell holding the point
-        hold = None
-        for i in range(len(self.t0)):
-            if (
-                self.br[i] == b_s
-                and self.t0[i] <= theta_s <= self.t1[i]
-                and self.u0[i] <= u_s <= self.u1[i]
-            ):
-                hold = i
-                break
-        if hold is None:
-            return
-        rect = [self.t0[hold], self.t1[hold], self.u0[hold], self.u1[hold]]
-        self._drop([hold])
-        for _ in range(600):
-            rho = self._rect_radius(rect, b_s, point)
-            bound = _core_bound(self.g, point, rho, order)
-            # split only sides spanning >= 1e-13 r (r = |point - center|), far
-            # above the (theta, r) resolution, so no split or node hits the point
-            t0, t1, u0, u1 = rect
-            cut = (t1 - t0 >= 1e-13, (u1 - u0) * u_scale >= 1e-13)
-            if bound <= budget or not any(cut):
-                break
-            rect = self._split_toward(rect, b_s, theta_s, u_s, *cut)
-        self.cores.append(_Core(point, order, bound))
+        # the initial cells span [b0, b0 + 2 pi], so test theta_s + 2 pi too; a
+        # point on a shared edge is held by every cell around it
+        held = [
+            (i, t)
+            for t in (theta_s, theta_s + TWO_PI)
+            for i in np.flatnonzero(
+                (self.br == b_s) & (self.t0 <= t) & (t <= self.t1)
+                & (self.u0 <= u_s) & (u_s <= self.u1)
+            )
+        ]
+        sides = []
+        for i, t in held:
+            rect = [self.t0[i], self.t1[i], self.u0[i], self.u1[i]]
+            for _ in range(600):
+                rho = self._rect_radius(rect, b_s, point)
+                bound = _core_bound(self.g, point, rho, order)
+                # sides in units of r = |point - center|: split only sides
+                # spanning >= 1e-13 r, far above the (theta, r) resolution, so
+                # no split or node hits the point, and >= half the longer side,
+                # so the core stays near-square
+                dt = rect[1] - rect[0]
+                du = (rect[3] - rect[2]) * u_scale
+                cut = (dt >= max(1e-13, 0.5 * du), du >= max(1e-13, 0.5 * dt))
+                if bound <= budget / len(held) or not any(cut):
+                    break
+                rect, others = self._split_toward(rect, t, u_s, *cut)
+                sides += others
+            self.cores.append(_Core(point, order, bound))
+        self._drop([i for i, _ in held])
+        if sides:
+            t0, t1, u0, u1 = np.array(sides).T
+            self._append(t0, t1, u0, u1, np.full(len(sides), b_s, dtype=np.int64))
 
-    def _split_toward(self, rect, branch, theta_s, u_s, cut_t, cut_u):
-        """Split the cut sides of a cell, keep the child holding the point strictly inside."""
+    def _split_toward(self, rect, theta_s, u_s, cut_t, cut_u):
+        """Split the cut sides of a cell so that no new edge passes through the
+        point; return the child holding the point and the list of the others."""
         t0, t1, u0, u1 = rect
         tm = self._off_center_split(t0, t1, theta_s) if cut_t else t1
         um = self._off_center_split(u0, u1, u_s) if cut_u else u1
@@ -272,15 +282,7 @@ class _Engine:
             for ua, ub in ((u0, um), (um, u1)):
                 if (ta, tb, ua, ub) != keep and ta < tb and ua < ub:
                     others.append((ta, tb, ua, ub))
-        arr = np.array(others)
-        self._append(
-            arr[:, 0],
-            arr[:, 1],
-            arr[:, 2],
-            arr[:, 3],
-            np.full(len(others), branch, dtype=np.int64),
-        )
-        return list(keep)
+        return list(keep), others
 
     @staticmethod
     def _off_center_split(a, b, s):

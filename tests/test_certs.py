@@ -7,6 +7,7 @@ import wbl.certs
 from wbl import (
     Disc,
     LogPotential,
+    Moon,
     Polynomial,
     ZeroWeight,
     cp_constant,
@@ -96,6 +97,28 @@ def test_potential_mass_bound_two_atoms():
     r = potential_mass_bound([0.5, 0.5], [0.5 + 0j, -0.5 + 0j], Disc(0j, 1.0), 1e-7)
     assert r.integral <= r.lebesgue_bound
     assert r.lebesgue_bound == pytest.approx(2 * math.pi, rel=1e-14)
+
+
+def test_potential_mass_bound_atoms_on_theta_edges():
+    """Atoms on the initial theta edges 0 and pi of the unit disc."""
+    r = potential_mass_bound(
+        [0.5934328981471757, 0.5692381340500794],
+        [0.5833823323343658, -0.4850376076230894],
+        Disc(0j, 1.0),
+        1e-8,
+    )
+    # mpmath at 35 digits: the disc is split by the atoms' perpendicular
+    # bisector and each half integrated in polar coordinates about its atom
+    ref = 5.119822916745818
+    assert abs(r.integral - ref) <= r.err <= 1e-8
+
+
+def test_potential_mass_bound_atom_below_first_breakpoint():
+    """An atom at an angle below the domain's first theta breakpoint keeps its
+    core: the problem rotated by -pi / 2 gives the same integral."""
+    a = potential_mass_bound([0.8], [0.8 + 0.1j], Moon(Disc(0j, 1.0), Disc(0.45j, 0.55)))
+    b = potential_mass_bound([0.8], [0.1 - 0.8j], Moon(Disc(0j, 1.0), Disc(0.45 + 0j, 0.55)))
+    assert a.integral == pytest.approx(b.integral, rel=1e-12)
 
 
 def test_potential_mass_too_large():

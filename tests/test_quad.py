@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -186,11 +187,14 @@ def test_atom_off_center(unit_disc):
     # exported node comes near the atom or into the capped zone of
     # weight_factor. The second atom lies 1e-3 rad from the initial theta
     # edge 5 pi / 4, where a floor on the core's longer reach let the shorter
-    # side collapse. exact: int_0^2pi R(t)^0.6 dt / 0.6 (mpmath), R(t) the
-    # distance from z0 to the unit circle in direction t
+    # side collapse; the third lies on the edge pi / 4, where cutting both
+    # sides at every ladder step left sliver cells. exact: int_0^2pi R(t)^0.6
+    # dt / 0.6 (mpmath), R(t) the distance from z0 to the unit circle in
+    # direction t
     for z0, exact in (
         (0.3 + 0.2j, 10.174235467232133),
         (-0.1773314278149586 - 0.17696848320868075j, 10.331286503501083),
+        (0.3 * cmath.exp(0.25j * math.pi), 10.268498033270244),
     ):
         w = LogPotential([(z0, 1.4)])
         grid = build_grid(
@@ -200,3 +204,24 @@ def test_atom_off_center(unit_disc):
         assert np.max(-w.evaluate(grid.nodes)) < 700
         assert np.min(np.abs(grid.nodes - z0)) > 1e-14 * abs(z0)
         assert abs(grid.value.real - exact) <= grid.error_estimate
+        # cells near the atom stay near-square: (dtheta r) / (du width), with
+        # width 1 and r the radius of the cell centre on the unit disc
+        c = grid.cells
+        r = 0.5 * (c.u0 + c.u1)
+        near = np.abs(r * np.exp(0.5j * (c.t0 + c.t1)) - z0) < 1e-2
+        aspect = (c.t1 - c.t0)[near] * r[near] / (c.u1 - c.u0)[near]
+        assert 0.05 <= aspect.min() and aspect.max() <= 20
+
+
+def test_atom_on_theta_edge(unit_disc):
+    """An atom on, or 1e-7 rad from, the initial theta edge pi / 4 of the disc
+    meets a 1e-10 tol, and its error estimate bounds the true error."""
+    for z0 in (0.3 * cmath.exp(0.25j * math.pi), 0.3 * cmath.exp(1j * (0.25 * math.pi + 1e-7))):
+        w = LogPotential([(z0, 1.2)])
+        grid = build_grid(
+            unit_disc, lambda z: weight_factor(w, z), w.quadrature_singularities(), 1e-10,
+            max_cells=2000,
+        )
+        # exact: int_0^2pi R(t)^0.8 dt / 0.8 (mpmath), R(t) as in test_atom_off_center
+        err = abs(grid.value.real - 7.680510302551679)
+        assert err <= grid.error_estimate <= 1e-10 * grid.value.real
