@@ -1,10 +1,11 @@
 """Weighted polynomial approximation: Gram matrices, best approximants,
 distance scans, and the extremal orthonormal basis.
 
-Least squares is solved by QR on the weighted evaluation matrix at quadrature
-nodes (columns scaled to unit norm), never by normal equations: shifted
-monomials are exponentially ill-conditioned and the QR route squares the
-usable degree range. Distances come from the QR residual, which is backward
+Least squares is solved by one Householder QR of the weighted evaluation
+matrix at quadrature nodes, augmented by the target column, never by normal
+equations: shifted monomials are exponentially ill-conditioned and the QR
+route squares the usable degree range. The coefficients, every distance d_k
+and ||f|| are read off the triangular factor of that QR, which is backward
 stable; the Pythagoras identity is only a test, not the computation.
 """
 
@@ -153,49 +154,32 @@ def gram_matrix(domain, w, p=None, s=None, N=10, tol=1e-10, rule_order=8, max_ce
 
 
 def _blocked_lsq(grid, w, p, s, N, target):
-    """Tall-skinny QR of the weighted Vandermonde, with distance history.
+    """Tall-skinny QR of the weighted [A | b], with distance history.
+
+    One pass over node chunks carries the triangular factor of [A | b], so Q
+    is never formed. Its last column c holds t = Q^H b in rows 0..N and the
+    residual norm in row N + 1, hence d_k^2 = sum_{i>k} |c_i|^2 and ||b||^2 is
+    the whole column. Householder QR is columnwise backward stable, so the
+    columns need no equilibration; cond is that of R with unit-norm columns.
 
     Returns (coeffs, distances, cond, target_norm_sq), the last being the
     squared weighted norm of the target itself.
     """
     sqw = np.sqrt(grid.weights * weight_factor(w, grid.nodes))
-
-    colnorm_sq = np.zeros(N + 1)
-    for lo in range(0, len(grid.nodes), _CHUNK):
-        V = _vander(grid.nodes[lo : lo + _CHUNK], p, s, N) * sqw[lo : lo + _CHUNK, None]
-        colnorm_sq += np.sum(np.abs(V) ** 2, axis=0)
-    colnorm = np.sqrt(colnorm_sq)
-    colnorm[colnorm == 0] = 1.0
-    d_scale = 1.0 / colnorm
-
-    # triangular factor of [A | b], carried across chunks: its top rows hold
-    # R and t = Q^H b, so Q is never formed
     Rb = np.zeros((0, N + 2), dtype=complex)
-    b_norm_sq = 0.0
     for lo in range(0, len(grid.nodes), _CHUNK):
         nodes = grid.nodes[lo : lo + _CHUNK]
-        V = _vander(nodes, p, s, N) * sqw[lo : lo + _CHUNK, None]
-        b = target(nodes) * sqw[lo : lo + _CHUNK]
-        b_norm_sq += float(np.sum(np.abs(b) ** 2))
-        Rb = np.linalg.qr(np.vstack([Rb, np.column_stack([V * d_scale[None, :], b])]), mode="r")
-    R, t = Rb[: N + 1, : N + 1], Rb[: N + 1, N + 1]
+        Ab = np.column_stack([_vander(nodes, p, s, N), target(nodes)])
+        Rb = np.linalg.qr(np.vstack([Rb, Ab * sqw[lo : lo + _CHUNK, None]]), mode="r")
+    R = Rb[: N + 1, : N + 1]
 
     # R is upper triangular, so the LU inside solve does no pivoting
-    coeffs = np.linalg.solve(R, t) * d_scale
+    coeffs = np.linalg.solve(R, Rb[: N + 1, N + 1])
 
-    # explicit residual pass: backward-stable final distance
-    res_sq = 0.0
-    for lo in range(0, len(grid.nodes), _CHUNK):
-        nodes = grid.nodes[lo : lo + _CHUNK]
-        V = _vander(nodes, p, s, N) * sqw[lo : lo + _CHUNK, None]
-        b = target(nodes) * sqw[lo : lo + _CHUNK]
-        res_sq += float(np.sum(np.abs(b - V @ coeffs) ** 2))
-
-    # d_k^2 = residual^2 + sum_{i>k} |t_i|^2
-    tails = np.append(np.cumsum(np.abs(t[:0:-1]) ** 2)[::-1], 0.0)
-    distances = np.sqrt(np.maximum(0.0, res_sq + tails))
-    cond = float(np.linalg.cond(R))
-    return coeffs, distances, cond, b_norm_sq
+    # tails[i] = sum_{j>=i} |c_j|^2, summed from the small end
+    tails = np.cumsum(np.abs(Rb[::-1, N + 1]) ** 2)[::-1]
+    cond = float(np.linalg.cond(R / np.linalg.norm(R, axis=0)))
+    return coeffs, np.sqrt(tails[1:]), cond, float(tails[0])
 
 
 def best_poly_approx(
@@ -343,15 +327,9 @@ def extremal_basis(
         L = np.linalg.cholesky(rev)
     except np.linalg.LinAlgError as exc:
         raise IllConditioned(f"Gram Cholesky broke down (cond ~ {gram.cond_estimate:.2e})") from exc
+    # B is upper triangular: column N - n, reversed, is f_n in the monomials
     B = np.linalg.inv(L.conj().T)
-    basis = []
-    for n in range(N + 1):
-        j = N - n
-        coeffs = np.zeros(N + 1, dtype=complex)
-        for kk in range(j + 1):
-            coeffs[N - kk] = B[kk, j]
-        basis.append(Polynomial(tuple(coeffs), gram.center, gram.scale))
-    return basis
+    return [Polynomial(tuple(B[::-1, N - n]), gram.center, gram.scale) for n in range(N + 1)]
 
 
 @dataclass

@@ -148,9 +148,6 @@ class QuadSettings:
             raise ConfigError("quad settings out of range")
         return out
 
-    def to_record(self):
-        return {"tol": self.tol, "rule_order": self.rule_order, "max_cells": self.max_cells}
-
 
 @dataclass
 class ExperimentConfig:

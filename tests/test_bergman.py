@@ -16,6 +16,7 @@ from wbl import (
     scan_verdict,
     weighted_norm_sq,
 )
+from wbl import bergman
 from wbl.errors import DegenerateWeight
 
 
@@ -284,6 +285,47 @@ def test_ill_conditioned_flagged_not_fatal(unit_disc):
     g = gram_matrix(unit_disc, ZeroWeight(), 0j, 1e-4, 12, 1e-8)
     assert g.ill_conditioned
     assert g.matrix.shape == (13, 13)
+    r = best_poly_approx(pole_target(2.0), unit_disc, ZeroWeight(), 3.0, 1.0, 20)
+    assert r.ill_conditioned and r.cond_estimate > 1e14
+    assert len(r.distances) == 21
+
+
+@pytest.mark.parametrize("s", [1.0, 1e-4])
+def test_lsq_cond_estimate_is_scale_free(unit_disc, s):
+    """Monomials about the centre are orthogonal on the disc, so the
+    unit-column condition number of the least-squares factor is 1 at any s."""
+    r = best_poly_approx(pole_target(2.0), unit_disc, ZeroWeight(), 0j, s, 10)
+    assert r.cond_estimate == pytest.approx(1.0, rel=1e-9)
+    assert not r.ill_conditioned
+
+
+def test_chunk_carry_matches_one_chunk(unit_disc, monkeypatch):
+    """The triangular factor carried across node chunks gives the one-chunk answer.
+
+    The match is normwise: rounding in a backward-stable QR is relative to
+    ||f||, so a tail entry far below d_0 moves by more than 1e-12 of itself.
+    """
+    f = pole_target(2.0)
+    jet = (-0.4, -0.3)
+
+    def assert_close(got, want):
+        got, want = np.asarray(got), np.asarray(want)
+        ok = np.isfinite(want)
+        assert np.array_equal(np.isfinite(got), ok)
+        assert np.linalg.norm(got[ok] - want[ok]) <= 1e-12 * np.linalg.norm(want[ok])
+
+    def solve():
+        r = best_poly_approx(f, unit_disc, LogPotential([(0j, 1.5)]), n=12, rule_order=12)
+        j = best_poly_approx_with_jet(f, unit_disc, ZeroWeight(), n=8, jet=jet)
+        return r, j
+
+    one = solve()
+    monkeypatch.setattr(bergman, "_CHUNK", 997)
+    many = solve()
+    for a, b in zip(one, many):
+        assert_close(b.distances, a.distances)
+        assert_close(b.polynomial.coeffs, a.polynomial.coeffs)
+    assert many[1].distances[len(jet) - 1] == pytest.approx(one[1].distances[len(jet) - 1], rel=1e-12)
 
 
 def test_moon_inv_sqrt_monte_carlo_projection(unit_moon):
