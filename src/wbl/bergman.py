@@ -1,12 +1,12 @@
 """Weighted polynomial approximation: Gram matrices, best approximants,
 distance scans, and the extremal orthonormal basis.
 
-Least squares is solved by one Householder QR of the weighted evaluation
-matrix at quadrature nodes, augmented by the target column, never by normal
-equations: shifted monomials are exponentially ill-conditioned and the QR
-route squares the usable degree range. The coefficients, every distance d_k
-and ||f|| are read off the triangular factor of that QR, which is backward
-stable; the Pythagoras identity is only a test, not the computation.
+One R-only Householder QR of the weighted evaluation matrix at the nodes of
+a grid, augmented by one column per target, serves every result of that
+grid; normal equations are never formed, since shifted monomials are
+exponentially ill-conditioned. Each target's coefficients, distances d_k and
+||f||, the Gram matrix R^T conj(R) and the scale-free condition number (of R
+with unit-norm columns) are read off its backward-stable triangular factor.
 """
 
 from __future__ import annotations
@@ -28,7 +28,11 @@ _ILL_COND = 1e14
 
 @dataclass
 class GramMatrix:
-    """Hermitian matrix of weighted inner products of scaled shifted monomials."""
+    """Hermitian matrix of weighted inner products of scaled shifted monomials.
+
+    cond_estimate is that of its unit-diagonal form: cond(R)^2 for the
+    least-squares factor R with unit-norm columns.
+    """
 
     center: complex
     scale: float
@@ -97,15 +101,15 @@ def _check_weight(domain, w):
             )
 
 
-def _scan_grid(domain, w, p, s, N, f_abs2, singular, tol, rule_order, max_cells):
-    """Grid adapted to the weight, the monomial family, and optionally |f|^2."""
+def _scan_grid(domain, w, p, s, N, targets, singular, tol, rule_order, max_cells):
+    """Grid adapted to the weight, the monomial family, and every |f|^2."""
 
     def pilot(z):
         # the top monomial drives rim resolution, the 1 keeps the center honest
         zeta = np.abs(z - p) / s
         env = 1.0 + zeta ** (2 * N)
-        if f_abs2 is not None:
-            env = env + f_abs2(z)
+        for f in targets:
+            env = env + np.abs(f(z)) ** 2
         return env * weight_factor(w, z)
 
     return build_grid(domain, pilot, singular, tol, rule_order, max_cells)
@@ -120,27 +124,31 @@ def _vander(nodes, p, s, N):
     return V
 
 
+def _unit_cond(R):
+    """Condition number of R with unit-norm columns, free of the scale s."""
+    return float(np.linalg.cond(R / np.linalg.norm(R, axis=0)))
+
+
 def gram_matrix(domain, w, p=None, s=None, N=10, tol=1e-10, rule_order=8, max_cells=100_000):
     """Gram matrix of ((z - p)/s)^k, k = 0..N, in the weighted inner product.
 
-    G[j, k] = <psi_j, psi_k>. Raises DegenerateWeight when some monomial has
-    infinite norm; an ill-conditioned result is returned but flagged
-    (rescaling s is the usual fix). tol is relative to the overall mass.
+    G[j, k] = <psi_j, psi_k> = conj(A^H A)[j, k] = (R^T conj(R))[j, k] for
+    the weighted Vandermonde A = QR. Raises DegenerateWeight when some
+    monomial has infinite norm; an ill-conditioned result (cond_estimate,
+    scale-free, above 1e14 or R singular) is returned but flagged. tol is
+    relative to the overall mass.
     """
     p, s = _resolve_ps(domain, p, s)
     _check_weight(domain, w)
     grid = _scan_grid(
-        domain, w, p, s, N, None, w.quadrature_singularities(), tol, rule_order, max_cells
+        domain, w, p, s, N, (), w.quadrature_singularities(), tol, rule_order, max_cells
     )
-    wd = grid.weights * weight_factor(w, grid.nodes)
-    G = np.zeros((N + 1, N + 1), dtype=complex)
-    for lo in range(0, len(grid.nodes), _CHUNK):
-        V = _vander(grid.nodes[lo : lo + _CHUNK], p, s, N)
-        G += V.T @ (wd[lo : lo + _CHUNK, None] * np.conj(V))
+    R = _blocked_lsq(grid, w, p, s, N, ())
+    G = R.T @ R.conj()
     G = 0.5 * (G + G.conj().T)
-    evals = np.linalg.eigvalsh(G)
-    pd = bool(evals[0] > 0)
-    cond = float(evals[-1] / evals[0]) if pd else math.inf
+    diag = np.diag(R)
+    pd = bool(np.all(np.isfinite(diag) & (diag != 0)))
+    cond = _unit_cond(R) ** 2 if pd else math.inf
     return GramMatrix(
         center=p,
         scale=s,
@@ -153,33 +161,24 @@ def gram_matrix(domain, w, p=None, s=None, N=10, tol=1e-10, rule_order=8, max_ce
     )
 
 
-def _blocked_lsq(grid, w, p, s, N, target):
-    """Tall-skinny QR of the weighted [A | b], with distance history.
+def _blocked_lsq(grid, w, p, s, N, targets):
+    """Triangular factor of the weighted [A | b_1 .. b_m], m = len(targets) >= 0.
 
-    One pass over node chunks carries the triangular factor of [A | b], so Q
-    is never formed. Its last column c holds t = Q^H b in rows 0..N and the
-    residual norm in row N + 1, hence d_k^2 = sum_{i>k} |c_i|^2 and ||b||^2 is
-    the whole column. Householder QR is columnwise backward stable, so the
-    columns need no equilibration; cond is that of R with unit-norm columns.
-
-    Returns (coeffs, distances, cond, target_norm_sq), the last being the
-    squared weighted norm of the target itself.
+    One pass over node chunks carries the R-only Householder QR of
+    sqrt(w) [V | b_1 .. b_m], so Q is never formed. R = factor[:N+1, :N+1]
+    serves every target; column N + 1 + j holds Q^H b_j in rows 0..N, then
+    its projections on the earlier targets' residuals, still orthogonal to
+    the polynomials, down to its diagonal. So with c that column,
+    d_k^2 = sum_{i>k} |c_i|^2 and ||b_j||^2 is the whole column. Householder
+    QR is columnwise backward stable, so the columns need no equilibration.
     """
     sqw = np.sqrt(grid.weights * weight_factor(w, grid.nodes))
-    Rb = np.zeros((0, N + 2), dtype=complex)
+    Rb = np.zeros((0, N + 1 + len(targets)), dtype=complex)
     for lo in range(0, len(grid.nodes), _CHUNK):
         nodes = grid.nodes[lo : lo + _CHUNK]
-        Ab = np.column_stack([_vander(nodes, p, s, N), target(nodes)])
+        Ab = np.column_stack([_vander(nodes, p, s, N)] + [f(nodes) for f in targets])
         Rb = np.linalg.qr(np.vstack([Rb, Ab * sqw[lo : lo + _CHUNK, None]]), mode="r")
-    R = Rb[: N + 1, : N + 1]
-
-    # R is upper triangular, so the LU inside solve does no pivoting
-    coeffs = np.linalg.solve(R, Rb[: N + 1, N + 1])
-
-    # tails[i] = sum_{j>=i} |c_j|^2, summed from the small end
-    tails = np.cumsum(np.abs(Rb[::-1, N + 1]) ** 2)[::-1]
-    cond = float(np.linalg.cond(R / np.linalg.norm(R, axis=0)))
-    return coeffs, np.sqrt(tails[1:]), cond, float(tails[0])
+    return Rb
 
 
 def best_poly_approx(
@@ -202,56 +201,73 @@ def best_poly_approx(
     weights with an atom of mass >= 2 at a zero of Q. The returned polynomial
     is Q * P in that case and distances refer to ||f - Q P||.
     """
-    p, s = _resolve_ps(domain, p, s)
     return _best_approx(
-        f, domain, w, p, s, n, tol, f_singularities, divisor_Q, rule_order, max_cells
-    )[0]
+        (f,), domain, w, p, s, n, tol, f_singularities, divisor_Q, rule_order, max_cells
+    )[0][0]
 
 
-def _best_approx(f, domain, w, p, s, n, tol, f_singularities, divisor_Q, rule_order, max_cells):
-    """best_poly_approx at a resolved (p, s), plus the weighted norm ||f||."""
+class _ReducedWeight:
+    """Weight with exp(-phi) |Q|^2 as density, for the divisor route.
+
+    The pilot and the least squares evaluate it and each f/Q on the same
+    node array, so Q(z) is kept for the last array.
+    """
+
+    def __init__(self, w, q_poly):
+        self.w, self.q_poly, self._z, self._qz = w, q_poly, None, None
+
+    def q(self, z):
+        if z is not self._z:
+            self._z, self._qz = z, self.q_poly(z)
+        return self._qz
+
+    def divided(self, f):
+        return lambda z: f(z) / self.q(z)
+
+    def evaluate(self, z):
+        with np.errstate(divide="ignore"):
+            return self.w.evaluate(z) - 2.0 * np.log(np.abs(self.q(z)))
+
+    def quadrature_singularities(self):
+        return self.w.quadrature_singularities()
+
+
+def _best_approx(fs, domain, w, p, s, n, tol, f_singularities, divisor_Q, rule_order, max_cells):
+    """best_poly_approx of each f in fs, with ||f||, from one grid and one factor."""
+    p, s = _resolve_ps(domain, p, s)
     if divisor_Q is None:
         _check_weight(domain, w)
-        target = f
-        eff_w = w
+        targets, eff_w = tuple(fs), w
     else:
-        q_poly = divisor_Q
-
-        def target(z):
-            return f(z) / q_poly(z)
-
-        class _Reduced:
-            """Weight with exp(-phi) |Q|^2 as density."""
-
-            def evaluate(self, z):
-                with np.errstate(divide="ignore"):
-                    return w.evaluate(z) - 2.0 * np.log(np.abs(q_poly(z)))
-
-            def quadrature_singularities(self):
-                return w.quadrature_singularities()
-
-        eff_w = _Reduced()
+        eff_w = _ReducedWeight(w, divisor_Q)
+        targets = tuple(eff_w.divided(f) for f in fs)
 
     singular = tuple(eff_w.quadrature_singularities()) + tuple(f_singularities)
-
-    def f_abs2(z):
-        return np.abs(target(z)) ** 2
-
-    grid = _scan_grid(domain, eff_w, p, s, n, f_abs2, singular, tol, rule_order, max_cells)
-    coeffs, distances, cond, f_norm_sq = _blocked_lsq(grid, eff_w, p, s, n, target)
-    poly = Polynomial(tuple(coeffs), p, s)
-    if divisor_Q is not None:
-        poly = divisor_Q.recenter(p, s) * poly
-    result = ApproximationResult(
-        degree=n,
-        polynomial=poly,
-        distance=float(distances[n]),
-        distances=distances,
-        error_budget=grid.error_estimate,
-        cond_estimate=cond,
-        ill_conditioned=cond > _ILL_COND,
-    )
-    return result, math.sqrt(f_norm_sq)
+    grid = _scan_grid(domain, eff_w, p, s, n, targets, singular, tol, rule_order, max_cells)
+    Rb = _blocked_lsq(grid, eff_w, p, s, n, targets)
+    R, C = Rb[: n + 1, : n + 1], Rb[:, n + 1 :]
+    cond = _unit_cond(R)
+    # R is upper triangular, so the LU inside solve does no pivoting
+    coeffs = np.linalg.solve(R, C[: n + 1])
+    # tails[i, j] = sum_{l>=i} |C[l, j]|^2, summed from the small end
+    tails = np.cumsum(np.abs(C[::-1]) ** 2, axis=0)[::-1]
+    out = []
+    for j in range(len(targets)):
+        distances = np.sqrt(tails[1 : n + 2, j])
+        poly = Polynomial(tuple(coeffs[:, j]), p, s)
+        if divisor_Q is not None:
+            poly = divisor_Q.recenter(p, s) * poly
+        result = ApproximationResult(
+            degree=n,
+            polynomial=poly,
+            distance=float(distances[n]),
+            distances=distances,
+            error_budget=grid.error_estimate,
+            cond_estimate=cond,
+            ill_conditioned=cond > _ILL_COND,
+        )
+        out.append((result, math.sqrt(tails[0, j])))
+    return out
 
 
 def best_poly_approx_with_jet(
@@ -289,8 +305,8 @@ def best_poly_approx_with_jet(
 
     # a fully pinned jet leaves no free coefficient: the degree-0 solve only
     # supplies ||f - J||, and the slices below drop its Q P
-    res, rest_norm = _best_approx(
-        rest, domain, w, p, s, max(n - k, 0), tol, f_singularities, Q, rule_order, max_cells
+    ((res, rest_norm),) = _best_approx(
+        (rest,), domain, w, p, s, max(n - k, 0), tol, f_singularities, Q, rule_order, max_cells
     )
     distances = np.concatenate([np.full(k, np.nan), res.distances[: n - k + 1]])
     coeffs = np.array(res.polynomial.coeffs[: n + 1])
@@ -386,16 +402,19 @@ def density_scan(
     The verdict is advisory (HEURISTIC) and never raises; density of
     polynomials would drive d_n to 0.
     """
-    res = best_poly_approx(
-        f,
-        domain,
-        w,
-        p,
-        s,
-        N_max,
-        tol,
-        f_singularities,
-        rule_order=rule_order,
-        max_cells=max_cells,
-    )
-    return ScanResult(distances=res.distances, verdict=scan_verdict(res.distances), approx=res)
+    return _density_scans(
+        (f,), domain, w, p, s, N_max, tol, f_singularities, rule_order, max_cells
+    )[0]
+
+
+def _density_scans(
+    fs, domain, w, p=None, s=None, N_max=20, tol=1e-10, f_singularities=(), rule_order=8,
+    max_cells=100_000,
+):
+    """density_scan of every f in fs, all on one grid and one factor."""
+    return [
+        ScanResult(distances=res.distances, verdict=scan_verdict(res.distances), approx=res)
+        for res, _ in _best_approx(
+            fs, domain, w, p, s, N_max, tol, f_singularities, None, rule_order, max_cells
+        )
+    ]

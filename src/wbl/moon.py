@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bergman import density_scan
+# density_scan stays importable here: perfbench/tracing.py patches wbl.moon.density_scan
+from .bergman import _density_scans, density_scan  # noqa: F401
 from .errors import CutIntersectsDomain, InvalidParameters
 from .geometry import TWO_PI, ArcRegion, ArcStage, Moon
 from .quad import integrate, weight_factor
@@ -128,9 +129,10 @@ def moon_density_criterion(moon, w, spec: BranchSpec | None = None, N_max: int =
                            tol: float = 1e-10, **kw):
     """Density criterion scan: d_n(1/sqrt(z)) plus a pole-in-the-hole control.
 
-    Requires the origin strictly inside the inner curve. The verdict is the
-    advisory HEURISTIC label of the scan; the criterion itself is that
-    polynomial density is equivalent to the inv-sqrt distances tending to 0.
+    Requires the origin strictly inside the inner curve; both targets share
+    one grid and one factor. The verdict is the advisory HEURISTIC label of
+    the scan; the criterion itself is that polynomial density is equivalent
+    to the inv-sqrt distances tending to 0.
     """
     if not isinstance(moon, Moon):
         raise InvalidParameters("the criterion is stated for moon domains")
@@ -138,17 +140,15 @@ def moon_density_criterion(moon, w, spec: BranchSpec | None = None, N_max: int =
         raise InvalidParameters("the origin must lie strictly inside the inner curve")
     if spec is None:
         spec = make_branch_spec(moon)
+    p_hole = moon.inner.center
 
     def inv_sqrt(z):
         return 1.0 / spec.sqrt(z)
 
-    scan = density_scan(inv_sqrt, moon, w, N_max=N_max, tol=tol, **kw)
-    p_hole = moon.inner.center
-
     def control_f(z):
         return 1.0 / (np.asarray(z) - p_hole)
 
-    control = density_scan(control_f, moon, w, N_max=N_max, tol=tol, **kw)
+    scan, control = _density_scans((inv_sqrt, control_f), moon, w, N_max=N_max, tol=tol, **kw)
     return {
         "distances": [float(d) for d in scan.distances],
         "verdict": scan.verdict,

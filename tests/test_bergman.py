@@ -43,7 +43,8 @@ def test_gram_disc_zero(unit_disc):
     off = g.matrix - np.diag(np.diag(g.matrix))
     assert np.max(np.abs(off)) < 1e-12
     assert g.positive_definite and not g.ill_conditioned
-    assert g.cond_estimate == pytest.approx(7.0, rel=1e-8)
+    # G is diagonal, so its unit-diagonal form is the identity
+    assert g.cond_estimate == pytest.approx(1.0, rel=1e-8)
 
 
 def test_gram_log_potential(unit_disc):
@@ -159,6 +160,22 @@ def test_divisor_route_series_oracle(unit_disc):
     assert np.max(np.abs(res.distances - oracle) / oracle) < 1e-7
     # the returned polynomial is Q * P, so it vanishes to second order at 0
     assert abs(res.polynomial.coeffs[0]) < 1e-12 and abs(res.polynomial.coeffs[1]) < 1e-12
+
+
+def test_divisor_evaluated_once_per_node_array(unit_disc):
+    """The divisor route shares Q(z) between the target f/Q and the weight."""
+    arrays = []
+
+    class CountedQ(Polynomial):
+        def __call__(self, z):
+            arrays.append(z)
+            return super().__call__(z)
+
+    best_poly_approx(
+        lambda z: z**2 / (z - 2.0), unit_disc, LogPotential([(0j, 2.5)]), 0j, 1.0, 6,
+        divisor_Q=CountedQ((0j, 0j, 1 + 0j)),
+    )
+    assert arrays and all(a is not b for a, b in zip(arrays, arrays[1:]))
 
 
 def test_jet_inactive_constraint(unit_disc):
@@ -281,9 +298,10 @@ def test_default_center_scale(unit_disc, figure_moon):
 
 
 def test_ill_conditioned_flagged_not_fatal(unit_disc):
-    """Absurd scales destroy conditioning; results are returned but flagged."""
-    g = gram_matrix(unit_disc, ZeroWeight(), 0j, 1e-4, 12, 1e-8)
-    assert g.ill_conditioned
+    """A centre far off the domain destroys conditioning; results are
+    returned but flagged."""
+    g = gram_matrix(unit_disc, ZeroWeight(), 3.0, 1.0, 12, 1e-8)
+    assert g.ill_conditioned and g.cond_estimate > 1e14
     assert g.matrix.shape == (13, 13)
     r = best_poly_approx(pole_target(2.0), unit_disc, ZeroWeight(), 3.0, 1.0, 20)
     assert r.ill_conditioned and r.cond_estimate > 1e14
@@ -293,10 +311,14 @@ def test_ill_conditioned_flagged_not_fatal(unit_disc):
 @pytest.mark.parametrize("s", [1.0, 1e-4])
 def test_lsq_cond_estimate_is_scale_free(unit_disc, s):
     """Monomials about the centre are orthogonal on the disc, so the
-    unit-column condition number of the least-squares factor is 1 at any s."""
+    unit-column condition number of the least-squares factor, and of the
+    unit-diagonal Gram matrix, is 1 at any s."""
     r = best_poly_approx(pole_target(2.0), unit_disc, ZeroWeight(), 0j, s, 10)
     assert r.cond_estimate == pytest.approx(1.0, rel=1e-9)
     assert not r.ill_conditioned
+    g = gram_matrix(unit_disc, ZeroWeight(), 0j, s, 12, 1e-8)
+    assert g.positive_definite and not g.ill_conditioned
+    assert g.cond_estimate == pytest.approx(1.0, rel=1e-9)
 
 
 def test_chunk_carry_matches_one_chunk(unit_disc, monkeypatch):
@@ -326,6 +348,33 @@ def test_chunk_carry_matches_one_chunk(unit_disc, monkeypatch):
         assert_close(b.distances, a.distances)
         assert_close(b.polynomial.coeffs, a.polynomial.coeffs)
     assert many[1].distances[len(jet) - 1] == pytest.approx(one[1].distances[len(jet) - 1], rel=1e-12)
+
+
+def test_second_target_column_matches_one_column_factor(unit_disc, monkeypatch):
+    """A target column after the first reads off the one-column answer.
+
+    Its rows between N + 1 and its diagonal project it on the first target's
+    residual, which is still orthogonal to the polynomials, so the tail sums
+    remain its distances. Both solves use one grid; small chunks exercise the
+    carried factor.
+    """
+    w = LogPotential([(0j, 1.5)])
+    first, second = pole_target(2.0), pole_target(1.5j)
+    grid = bergman._scan_grid(
+        unit_disc, w, 0j, 1.0, 12, (first, second), w.quadrature_singularities(), 1e-10, 12, 100_000
+    )
+    monkeypatch.setattr(bergman, "_scan_grid", lambda *args: grid)
+    monkeypatch.setattr(bergman, "_CHUNK", 997)
+
+    def solve(fs):
+        return bergman._best_approx(fs, unit_disc, w, 0j, 1.0, 12, 1e-10, (), None, 12, 100_000)
+
+    two, two_norm = solve((first, second))[1]
+    one, one_norm = solve((second,))[0]
+    for got, want in ((two.distances, one.distances), (two.polynomial.coeffs, one.polynomial.coeffs)):
+        got, want = np.asarray(got), np.asarray(want)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+    assert two_norm == pytest.approx(one_norm, rel=1e-12)
 
 
 def test_moon_inv_sqrt_monte_carlo_projection(unit_moon):

@@ -20,6 +20,7 @@ from wbl import (
     parity_split,
     strip_budget_search,
 )
+from wbl import bergman
 from wbl.quad import weight_factor
 from wbl.errors import CutIntersectsDomain, InvalidParameters
 
@@ -130,8 +131,18 @@ def test_criterion_requires_origin_in_hole(figure_moon):
         moon_density_criterion(figure_moon, ZeroWeight(), N_max=4)
 
 
-def test_moon_density_criterion_report(unit_moon):
+def test_moon_density_criterion_report(unit_moon, monkeypatch):
+    grids = []
+    build_grid = bergman.build_grid
+
+    def counted(*args, **kw):
+        grids.append(1)
+        return build_grid(*args, **kw)
+
+    monkeypatch.setattr(bergman, "build_grid", counted)
     rep = moon_density_criterion(unit_moon, ZeroWeight(), N_max=12, tol=1e-8, rule_order=12)
+    # both targets share one grid
+    assert len(grids) == 1
     d = np.array(rep["distances"])
     assert len(d) == 13
     assert bool(np.all(np.diff(d) <= 1e-10))
@@ -139,6 +150,15 @@ def test_moon_density_criterion_report(unit_moon):
     assert set(rep["control"]) == {"pole", "distances", "verdict"}
     # bounded weight on a two-circle moon: distances stall well above zero
     assert d[-1] > 0.2 * d[0]
+    # each sequence is the one its own scan, on its own grid, gives
+    spec = make_branch_spec(unit_moon)
+    p_hole = unit_moon.inner.center
+    for got, f in (
+        (rep["distances"], lambda z: 1.0 / spec.sqrt(z)),
+        (rep["control"]["distances"], lambda z: 1.0 / (z - p_hole)),
+    ):
+        want = density_scan(f, unit_moon, ZeroWeight(), N_max=12, tol=1e-8, rule_order=12).distances
+        assert np.linalg.norm(np.array(got) - want) <= 1e-8 * np.linalg.norm(want)
 
 
 def test_density_scan_polynomial_control(unit_moon):
