@@ -7,6 +7,11 @@ grid; normal equations are never formed, since shifted monomials are
 exponentially ill-conditioned. Each target's coefficients, distances d_k and
 ||f||, the Gram matrix R^T conj(R) and the scale-free condition number (of R
 with unit-norm columns) are read off its backward-stable triangular factor.
+
+The matrix is tall and skinny (tens of thousands of nodes, a few dozen
+columns at most), so the QR is taken as a tree (TSQR): cache-sized leaves
+reduced pairwise, which keeps even distances near 1e-10 d_0 at the rounding
+level of a single QR.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from .geometry import ArcRegion, Disc, Moon, TruncatedPlane
 from .quad import build_grid, integrate, weight_factor  # noqa: F401
 from .weights import Polynomial
 
-_CHUNK = 200_000
+_LEAF = 8_192
 _ILL_COND = 1e14
 
 
@@ -104,9 +109,14 @@ def _check_weight(domain, w):
 def _scan_grid(domain, w, p, s, N, targets, singular, tol, rule_order, max_cells):
     """Grid adapted to the weight, the monomial family, and every |f|^2."""
 
+    # below zeta_min, zeta^(2N) < 2^-54 is under a quarter ulp of the 1, so
+    # 1 + zeta^(2N) == 1 bit for bit; the clamp only keeps pow off its slow
+    # underflowing path on nodes laddered toward the centre
+    zeta_min = 2.0 ** (-27 / N) if N else 0.0
+
     def pilot(z):
         # the top monomial drives rim resolution, the 1 keeps the center honest
-        zeta = np.abs(z - p) / s
+        zeta = np.maximum(np.abs(z - p) / s, zeta_min)
         env = 1.0 + zeta ** (2 * N)
         for f in targets:
             env = env + np.abs(f(z)) ** 2
@@ -164,21 +174,36 @@ def gram_matrix(domain, w, p=None, s=None, N=10, tol=1e-10, rule_order=8, max_ce
 def _blocked_lsq(grid, w, p, s, N, targets):
     """Triangular factor of the weighted [A | b_1 .. b_m], m = len(targets) >= 0.
 
-    One pass over node chunks carries the R-only Householder QR of
-    sqrt(w) [V | b_1 .. b_m], so Q is never formed. R = factor[:N+1, :N+1]
-    serves every target; column N + 1 + j holds Q^H b_j in rows 0..N, then
-    its projections on the earlier targets' residuals, still orthogonal to
-    the polynomials, down to its diagonal. So with c that column,
-    d_k^2 = sum_{i>k} |c_i|^2 and ||b_j||^2 is the whole column. Householder
-    QR is columnwise backward stable, so the columns need no equilibration.
+    The R-only Householder QR of sqrt(w) [V | b_1 .. b_m] is taken as a
+    tree, so Q is never formed: each leaf of at most _LEAF nodes evaluates
+    the weight, the Vandermonde and the targets on one node slice (the
+    divisor route's Q once per node) and is factored on its own; adjacent
+    leaf factors are then stacked and refactored in pairs, an unpaired last
+    one moving up a level, until one is left. A sequential carry of one
+    factor through every block would refactor its full-norm rows once per
+    block and add that rounding each time; the tree adds it only
+    log2(leaves) times. A grid of one leaf gets the single QR.
+
+    R = factor[:N+1, :N+1] serves every target; column N + 1 + j holds
+    Q^H b_j in rows 0..N, then its projections on the earlier targets'
+    residuals, still orthogonal to the polynomials, down to its diagonal. So
+    with c that column, d_k^2 = sum_{i>k} |c_i|^2 and ||b_j||^2 is the whole
+    column. Householder QR is columnwise backward stable, so the columns need
+    no equilibration.
     """
-    sqw = np.sqrt(grid.weights * weight_factor(w, grid.nodes))
-    Rb = np.zeros((0, N + 1 + len(targets)), dtype=complex)
-    for lo in range(0, len(grid.nodes), _CHUNK):
-        nodes = grid.nodes[lo : lo + _CHUNK]
+    factors = []
+    for lo in range(0, len(grid.nodes), _LEAF):
+        nodes = grid.nodes[lo : lo + _LEAF]
+        sqw = np.sqrt(grid.weights[lo : lo + _LEAF] * weight_factor(w, nodes))
         Ab = np.column_stack([_vander(nodes, p, s, N)] + [f(nodes) for f in targets])
-        Rb = np.linalg.qr(np.vstack([Rb, Ab * sqw[lo : lo + _CHUNK, None]]), mode="r")
-    return Rb
+        factors.append(np.linalg.qr(Ab * sqw[:, None], mode="r"))
+    while len(factors) > 1:
+        paired = [
+            np.linalg.qr(np.vstack(factors[i : i + 2]), mode="r")
+            for i in range(0, len(factors) - 1, 2)
+        ]
+        factors = paired + factors[2 * len(paired) :]
+    return factors[0]
 
 
 def best_poly_approx(

@@ -17,6 +17,7 @@ from wbl import (
     weighted_norm_sq,
 )
 from wbl import bergman
+from wbl.quad import weight_factor
 from wbl.errors import DegenerateWeight
 
 
@@ -24,15 +25,16 @@ def pole_target(a):
     return lambda z: 1.0 / (np.asarray(z, dtype=complex) - a)
 
 
-def pole_distance_oracle(n_max, weight_exponent=0.0):
-    """Series oracle for d_n(1/(z-2)) on the unit disc under |z|^-a weights.
+def pole_distance_oracle(n_max, weight_exponent=0.0, radius=2.0):
+    """Series oracle for d_n(1/(z-a)) on the unit disc under |z|^-a weights.
 
-    Taylor coefficients of 1/(z-2) are -1/2^(k+1); monomials are orthogonal
-    with norms 2 pi / (2k + 2 - a), so the squared tail sums explicitly.
+    Taylor coefficients of 1/(z-a) are -1/a^(k+1), |a| = radius; monomials
+    are orthogonal with norms 2 pi / (2k + 2 - weight_exponent), so the
+    squared tail sums explicitly.
     """
     ks = np.arange(120)
     norms = 2 * math.pi / (2 * ks + 2 - weight_exponent)
-    terms = norms / 4.0 ** (ks + 1)
+    terms = norms / radius ** (2 * ks + 2)
     return np.array([math.sqrt(terms[n + 1 :].sum()) for n in range(n_max + 1)])
 
 
@@ -109,6 +111,21 @@ def test_pole_distance_series(unit_disc):
     assert res.distances[0] ** 2 == pytest.approx(math.pi * (math.log(4 / 3) - 0.25), rel=1e-9)
 
 
+@pytest.mark.parametrize(
+    "a",
+    [-2.9586449647362607 - 0.09245883912315435j, 0.01065130005150772 - 2.935378617465588j],
+    ids=["west", "south"],
+)
+def test_atom_scan_at_rounding_floor(unit_disc, a):
+    """d_20 of a pole under an order-1.5 atom sits near 3e-10 d_0, a few
+    times above the rounding floor of the least-squares factor; a solve that
+    rounds the factor's full-norm rows once per node block misses 5e-7 here."""
+    scan = density_scan(pole_target(a), unit_disc, LogPotential([(0j, 1.5)]), N_max=20, rule_order=12)
+    oracle = pole_distance_oracle(20, weight_exponent=1.5, radius=abs(a))
+    resolved = oracle >= 1e-12 * oracle[0]
+    assert np.max(np.abs(scan.distances - oracle)[resolved] / oracle[resolved]) <= 5e-7
+
+
 def test_distance_monotone_and_pythagoras(unit_disc):
     f = pole_target(2.0)
     res = best_poly_approx(f, unit_disc, ZeroWeight(), 0j, 1.0, 8, 1e-12, rule_order=12)
@@ -162,20 +179,30 @@ def test_divisor_route_series_oracle(unit_disc):
     assert abs(res.polynomial.coeffs[0]) < 1e-12 and abs(res.polynomial.coeffs[1]) < 1e-12
 
 
-def test_divisor_evaluated_once_per_node_array(unit_disc):
-    """The divisor route shares Q(z) between the target f/Q and the weight."""
-    arrays = []
+def test_divisor_evaluated_once_per_node_array(unit_disc, monkeypatch):
+    """The divisor route shares Q(z) between the target f/Q and the weight,
+    in the pilot and in the least squares, where each node meets Q once."""
+    arrays, grids = [], []
 
     class CountedQ(Polynomial):
         def __call__(self, z):
-            arrays.append(z)
+            arrays.append((bool(grids), z))
             return super().__call__(z)
 
+    blocked_lsq = bergman._blocked_lsq
+
+    def in_lsq(grid, *args):
+        grids.append(grid)
+        return blocked_lsq(grid, *args)
+
+    monkeypatch.setattr(bergman, "_blocked_lsq", in_lsq)
     best_poly_approx(
         lambda z: z**2 / (z - 2.0), unit_disc, LogPotential([(0j, 2.5)]), 0j, 1.0, 6,
         divisor_Q=CountedQ((0j, 0j, 1 + 0j)),
     )
-    assert arrays and all(a is not b for a, b in zip(arrays, arrays[1:]))
+    zs = [z for _, z in arrays]
+    assert zs and all(a is not b for a, b in zip(zs, zs[1:]))
+    assert sum(len(z) for lsq, z in arrays if lsq) == len(grids[0].nodes)
 
 
 def test_jet_inactive_constraint(unit_disc):
@@ -321,42 +348,58 @@ def test_lsq_cond_estimate_is_scale_free(unit_disc, s):
     assert g.cond_estimate == pytest.approx(1.0, rel=1e-9)
 
 
-def test_chunk_carry_matches_one_chunk(unit_disc, monkeypatch):
-    """The triangular factor carried across node chunks gives the one-chunk answer.
+def _split_into_leaves(monkeypatch, leaves):
+    """Make every later grid's least squares take exactly `leaves` leaves."""
+    scan_grid = bergman._scan_grid
 
-    The match is normwise: rounding in a backward-stable QR is relative to
-    ||f||, so a tail entry far below d_0 moves by more than 1e-12 of itself.
-    """
+    def split(*args):
+        grid = scan_grid(*args)
+        size = -(-len(grid.nodes) // leaves)
+        assert -(-len(grid.nodes) // size) == leaves
+        monkeypatch.setattr(bergman, "_LEAF", size)
+        return grid
+
+    monkeypatch.setattr(bergman, "_scan_grid", split)
+
+
+def assert_normwise_close(got, want):
+    """Rounding in a backward-stable QR is relative to ||f||, so a tail entry
+    far below d_0 moves by more than 1e-12 of itself: compare normwise."""
+    got, want = np.asarray(got), np.asarray(want)
+    ok = np.isfinite(want)
+    assert np.array_equal(np.isfinite(got), ok)
+    assert np.linalg.norm(got[ok] - want[ok]) <= 1e-12 * np.linalg.norm(want[ok])
+
+
+@pytest.mark.parametrize("leaves", [1, 2, 3, 5])
+def test_leaf_tree_matches_one_leaf(unit_disc, monkeypatch, leaves):
+    """Leaf factors reduced pairwise give the one-leaf answer; odd counts
+    carry an unpaired leaf up a level."""
     f = pole_target(2.0)
     jet = (-0.4, -0.3)
 
-    def assert_close(got, want):
-        got, want = np.asarray(got), np.asarray(want)
-        ok = np.isfinite(want)
-        assert np.array_equal(np.isfinite(got), ok)
-        assert np.linalg.norm(got[ok] - want[ok]) <= 1e-12 * np.linalg.norm(want[ok])
-
-    def solve():
+    def solve(leaves):
+        _split_into_leaves(monkeypatch, leaves)
         r = best_poly_approx(f, unit_disc, LogPotential([(0j, 1.5)]), n=12, rule_order=12)
         j = best_poly_approx_with_jet(f, unit_disc, ZeroWeight(), n=8, jet=jet)
+        monkeypatch.undo()
         return r, j
 
-    one = solve()
-    monkeypatch.setattr(bergman, "_CHUNK", 997)
-    many = solve()
+    one = solve(1)
+    many = solve(leaves)
     for a, b in zip(one, many):
-        assert_close(b.distances, a.distances)
-        assert_close(b.polynomial.coeffs, a.polynomial.coeffs)
+        assert_normwise_close(b.distances, a.distances)
+        assert_normwise_close(b.polynomial.coeffs, a.polynomial.coeffs)
     assert many[1].distances[len(jet) - 1] == pytest.approx(one[1].distances[len(jet) - 1], rel=1e-12)
 
 
-def test_second_target_column_matches_one_column_factor(unit_disc, monkeypatch):
-    """A target column after the first reads off the one-column answer.
+@pytest.mark.parametrize("leaves", [1, 2, 3, 5])
+def test_second_target_column_matches_one_column_factor(unit_disc, monkeypatch, leaves):
+    """A target column after the first reads off the one-column, one-leaf answer.
 
     Its rows between N + 1 and its diagonal project it on the first target's
     residual, which is still orthogonal to the polynomials, so the tail sums
-    remain its distances. Both solves use one grid; small chunks exercise the
-    carried factor.
+    remain its distances. Both solves use one grid.
     """
     w = LogPotential([(0j, 1.5)])
     first, second = pole_target(2.0), pole_target(1.5j)
@@ -364,17 +407,38 @@ def test_second_target_column_matches_one_column_factor(unit_disc, monkeypatch):
         unit_disc, w, 0j, 1.0, 12, (first, second), w.quadrature_singularities(), 1e-10, 12, 100_000
     )
     monkeypatch.setattr(bergman, "_scan_grid", lambda *args: grid)
-    monkeypatch.setattr(bergman, "_CHUNK", 997)
 
-    def solve(fs):
+    def solve(fs, leaves):
+        monkeypatch.setattr(bergman, "_LEAF", -(-len(grid.nodes) // leaves))
         return bergman._best_approx(fs, unit_disc, w, 0j, 1.0, 12, 1e-10, (), None, 12, 100_000)
 
-    two, two_norm = solve((first, second))[1]
-    one, one_norm = solve((second,))[0]
-    for got, want in ((two.distances, one.distances), (two.polynomial.coeffs, one.polynomial.coeffs)):
-        got, want = np.asarray(got), np.asarray(want)
-        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+    two, two_norm = solve((first, second), leaves)[1]
+    one, one_norm = solve((second,), 1)[0]
+    assert_normwise_close(two.distances, one.distances)
+    assert_normwise_close(two.polynomial.coeffs, one.polynomial.coeffs)
     assert two_norm == pytest.approx(one_norm, rel=1e-12)
+
+
+@pytest.mark.parametrize("N", [0, 1, 3, 20, 40])
+def test_pilot_clamp_is_bit_exact(unit_disc, monkeypatch, N):
+    """The grid pilot clamps |z - p|/s from below; its values stay those of
+    (1 + (|z - p|/s)^(2N) + |f|^2) exp(-phi) bit for bit."""
+    pilots = []
+    build_grid = bergman.build_grid
+
+    def capture(domain, pilot, *args):
+        pilots.append(pilot)
+        return build_grid(domain, pilot, *args)
+
+    monkeypatch.setattr(bergman, "build_grid", capture)
+    p, s = 0.1 + 0.05j, 1.3
+    w, f = LogPotential([(0j, 1.5)]), pole_target(2.0)
+    density_scan(f, unit_disc, w, p, s, N)
+    gen = np.random.default_rng(29)
+    zeta = 10.0 ** gen.uniform(-30, math.log10(2), 20_000)
+    z = p + s * zeta * np.exp(2j * math.pi * gen.uniform(size=zeta.size))
+    want = (1.0 + (np.abs(z - p) / s) ** (2 * N) + np.abs(f(z)) ** 2) * weight_factor(w, z)
+    assert np.array_equal(pilots[0](z), want)
 
 
 def test_moon_inv_sqrt_monte_carlo_projection(unit_moon):
