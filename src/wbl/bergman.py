@@ -7,11 +7,8 @@ grid; normal equations are never formed, since shifted monomials are
 exponentially ill-conditioned. Each target's coefficients, distances d_k and
 ||f||, the Gram matrix R^T conj(R) and the scale-free condition number (of R
 with unit-norm columns) are read off its backward-stable triangular factor.
-
-The matrix is tall and skinny (tens of thousands of nodes, a few dozen
-columns at most), so the QR is taken as a tree (TSQR): cache-sized leaves
-reduced pairwise, which keeps even distances near 1e-10 d_0 at the rounding
-level of a single QR.
+The tall, skinny QR is a tree of cache-sized leaves reduced pairwise (TSQR),
+which keeps distances near 1e-10 d_0 at the rounding level of a single QR.
 """
 
 from __future__ import annotations
@@ -110,8 +107,8 @@ def _scan_grid(domain, w, p, s, N, targets, singular, tol, rule_order, max_cells
     """Grid adapted to the weight, the monomial family, and every |f|^2."""
 
     # below zeta_min, zeta^(2N) < 2^-54 is under a quarter ulp of the 1, so
-    # 1 + zeta^(2N) == 1 bit for bit; the clamp only keeps pow off its slow
-    # underflowing path on nodes laddered toward the centre
+    # 1 + zeta^(2N) is 1 bit for bit; the clamp keeps pow off its slow
+    # underflow path on the nodes laddered toward the centre
     zeta_min = 2.0 ** (-27 / N) if N else 0.0
 
     def pilot(z):
@@ -176,13 +173,12 @@ def _blocked_lsq(grid, w, p, s, N, targets):
 
     The R-only Householder QR of sqrt(w) [V | b_1 .. b_m] is taken as a
     tree, so Q is never formed: each leaf of at most _LEAF nodes evaluates
-    the weight, the Vandermonde and the targets on one node slice (the
-    divisor route's Q once per node) and is factored on its own; adjacent
-    leaf factors are then stacked and refactored in pairs, an unpaired last
-    one moving up a level, until one is left. A sequential carry of one
-    factor through every block would refactor its full-norm rows once per
-    block and add that rounding each time; the tree adds it only
-    log2(leaves) times. A grid of one leaf gets the single QR.
+    weight, Vandermonde and targets on one node slice (so the divisor route
+    meets Q once per node) and is factored in cache; adjacent factors are
+    stacked and refactored in pairs, an odd one out moving up a level, until
+    one is left. A sequential carry would refactor its full-norm rows once
+    per block, adding that rounding each time; the tree adds it log2(leaves)
+    times. A grid of one leaf gets the single QR.
 
     R = factor[:N+1, :N+1] serves every target; column N + 1 + j holds
     Q^H b_j in rows 0..N, then its projections on the earlier targets'

@@ -17,8 +17,8 @@ from wbl import (
     weighted_norm_sq,
 )
 from wbl import bergman
-from wbl.quad import weight_factor
 from wbl.errors import DegenerateWeight
+from wbl.quad import weight_factor
 
 
 def pole_target(a):
@@ -26,7 +26,7 @@ def pole_target(a):
 
 
 def pole_distance_oracle(n_max, weight_exponent=0.0, radius=2.0):
-    """Series oracle for d_n(1/(z-a)) on the unit disc under |z|^-a weights.
+    """Series oracle for d_n(1/(z-a)) on the unit disc under |z|^-weight_exponent.
 
     Taylor coefficients of 1/(z-a) are -1/a^(k+1), |a| = radius; monomials
     are orthogonal with norms 2 pi / (2k + 2 - weight_exponent), so the
