@@ -103,8 +103,8 @@ def _check_weight(domain, w):
             )
 
 
-def _scan_grid(domain, w, p, s, N, targets, singular, tol, rule_order, max_cells):
-    """Grid adapted to the weight, the monomial family, and every |f|^2."""
+def _scan_grid(domain, w, p, s, N, targets, singular, tol, rule_order, max_cells, Q=None):
+    """Grid adapted to the weight, the monomial family (times Q), and every |f|^2."""
 
     # below zeta_min, zeta^(2N) < 2^-54 is under a quarter ulp of the 1, so
     # 1 + zeta^(2N) is 1 bit for bit; the clamp keeps pow off its slow
@@ -115,6 +115,8 @@ def _scan_grid(domain, w, p, s, N, targets, singular, tol, rule_order, max_cells
         # the top monomial drives rim resolution, the 1 keeps the center honest
         zeta = np.maximum(np.abs(z - p) / s, zeta_min)
         env = 1.0 + zeta ** (2 * N)
+        if Q is not None:
+            env = env * np.abs(Q(z)) ** 2
         for f in targets:
             env = env + np.abs(f(z)) ** 2
         return env * weight_factor(w, z)
@@ -122,10 +124,11 @@ def _scan_grid(domain, w, p, s, N, targets, singular, tol, rule_order, max_cells
     return build_grid(domain, pilot, singular, tol, rule_order, max_cells)
 
 
-def _vander(nodes, p, s, N):
+def _vander(nodes, p, s, N, Q=None):
+    """Columns Q(z) ((z - p)/s)^k, k = 0..N, with Q = 1 when not given."""
     zeta = (nodes - p) / s
     V = np.empty((len(nodes), N + 1), dtype=complex)
-    V[:, 0] = 1.0
+    V[:, 0] = 1.0 if Q is None else Q(nodes)
     for k in range(1, N + 1):
         V[:, k] = V[:, k - 1] * zeta
     return V
@@ -168,20 +171,21 @@ def gram_matrix(domain, w, p=None, s=None, N=10, tol=1e-10, rule_order=8, max_ce
     )
 
 
-def _blocked_lsq(grid, w, p, s, N, targets):
+def _blocked_lsq(grid, w, p, s, N, targets, Q=None):
     """Triangular factor of the weighted [A | b_1 .. b_m], m = len(targets) >= 0.
 
-    The R-only Householder QR of sqrt(w) [V | b_1 .. b_m] is taken as a
-    tree, so Q is never formed: each leaf of at most _LEAF nodes evaluates
-    weight, Vandermonde and targets on one node slice (so the divisor route
-    meets Q once per node) and is factored in cache; adjacent factors are
-    stacked and refactored in pairs, an odd one out moving up a level, until
-    one is left. A sequential carry would refactor its full-norm rows once
-    per block, adding that rounding each time; the tree adds it log2(leaves)
+    A is the Vandermonde of the scaled monomials, each times the divisor Q
+    when one is given. The R-only Householder QR sqrt(w) [A | b_1 .. b_m] =
+    U R is taken as a tree, so U is never formed: each leaf of at most _LEAF
+    nodes evaluates weight, A and targets on one node slice (so Q meets each
+    node once) and is factored in cache; adjacent factors are stacked and
+    refactored in pairs, an odd one out moving up a level, until one is
+    left. A sequential carry would refactor its full-norm rows once per
+    block, adding that rounding each time; the tree adds it log2(leaves)
     times. A grid of one leaf gets the single QR.
 
     R = factor[:N+1, :N+1] serves every target; column N + 1 + j holds
-    Q^H b_j in rows 0..N, then its projections on the earlier targets'
+    U^H b_j in rows 0..N, then its projections on the earlier targets'
     residuals, still orthogonal to the polynomials, down to its diagonal. So
     with c that column, d_k^2 = sum_{i>k} |c_i|^2 and ||b_j||^2 is the whole
     column. Householder QR is columnwise backward stable, so the columns need
@@ -191,7 +195,7 @@ def _blocked_lsq(grid, w, p, s, N, targets):
     for lo in range(0, len(grid.nodes), _LEAF):
         nodes = grid.nodes[lo : lo + _LEAF]
         sqw = np.sqrt(grid.weights[lo : lo + _LEAF] * weight_factor(w, nodes))
-        Ab = np.column_stack([_vander(nodes, p, s, N)] + [f(nodes) for f in targets])
+        Ab = np.column_stack([_vander(nodes, p, s, N, Q)] + [f(nodes) for f in targets])
         factors.append(np.linalg.qr(Ab * sqw[:, None], mode="r"))
     while len(factors) > 1:
         paired = [
@@ -217,9 +221,10 @@ def best_poly_approx(
 ) -> ApproximationResult:
     """Best weighted-L2 approximation of f by polynomials of degree <= n.
 
-    With divisor_Q, approximates f/Q in the weight reduced by |Q|^2 (so the
-    effective approximant of f is Q * P); this is the factor-out trick for
-    weights with an atom of mass >= 2 at a zero of Q. The returned polynomial
+    With divisor_Q, approximates f from Q * P, P of degree <= n: least
+    squares on the basis Q ((z - p)/s)^k, so nothing is divided by Q. This
+    is the factor-out trick for weights with an atom of mass >= 2 at a zero
+    of Q, where only multiples of Q have finite norm. The returned polynomial
     is Q * P in that case and distances refer to ||f - Q P||.
     """
     return _best_approx(
@@ -227,45 +232,14 @@ def best_poly_approx(
     )[0][0]
 
 
-class _ReducedWeight:
-    """Weight with exp(-phi) |Q|^2 as density, for the divisor route.
-
-    The pilot and the least squares evaluate it and each f/Q on the same
-    node array, so Q(z) is kept for the last array.
-    """
-
-    def __init__(self, w, q_poly):
-        self.w, self.q_poly, self._z, self._qz = w, q_poly, None, None
-
-    def q(self, z):
-        if z is not self._z:
-            self._z, self._qz = z, self.q_poly(z)
-        return self._qz
-
-    def divided(self, f):
-        return lambda z: f(z) / self.q(z)
-
-    def evaluate(self, z):
-        with np.errstate(divide="ignore"):
-            return self.w.evaluate(z) - 2.0 * np.log(np.abs(self.q(z)))
-
-    def quadrature_singularities(self):
-        return self.w.quadrature_singularities()
-
-
 def _best_approx(fs, domain, w, p, s, n, tol, f_singularities, divisor_Q, rule_order, max_cells):
     """best_poly_approx of each f in fs, with ||f||, from one grid and one factor."""
     p, s = _resolve_ps(domain, p, s)
     if divisor_Q is None:
         _check_weight(domain, w)
-        targets, eff_w = tuple(fs), w
-    else:
-        eff_w = _ReducedWeight(w, divisor_Q)
-        targets = tuple(eff_w.divided(f) for f in fs)
-
-    singular = tuple(eff_w.quadrature_singularities()) + tuple(f_singularities)
-    grid = _scan_grid(domain, eff_w, p, s, n, targets, singular, tol, rule_order, max_cells)
-    Rb = _blocked_lsq(grid, eff_w, p, s, n, targets)
+    singular = tuple(w.quadrature_singularities()) + tuple(f_singularities)
+    grid = _scan_grid(domain, w, p, s, n, fs, singular, tol, rule_order, max_cells, divisor_Q)
+    Rb = _blocked_lsq(grid, w, p, s, n, fs, divisor_Q)
     R, C = Rb[: n + 1, : n + 1], Rb[:, n + 1 :]
     cond = _unit_cond(R)
     # R is upper triangular, so the LU inside solve does no pivoting
@@ -273,7 +247,7 @@ def _best_approx(fs, domain, w, p, s, n, tol, f_singularities, divisor_Q, rule_o
     # tails[i, j] = sum_{l>=i} |C[l, j]|^2, summed from the small end
     tails = np.cumsum(np.abs(C[::-1]) ** 2, axis=0)[::-1]
     out = []
-    for j in range(len(targets)):
+    for j in range(len(fs)):
         distances = np.sqrt(tails[1 : n + 2, j])
         poly = Polynomial(tuple(coeffs[:, j]), p, s)
         if divisor_Q is not None:
@@ -308,10 +282,10 @@ def best_poly_approx_with_jet(
 
     jet lists the Taylor coefficients c_0..c_m of the approximant at p
     (m <= n). With J the jet polynomial and Q = ((z - p)/s)^(m+1), the
-    approximant is J + Q P, and ||f - J - Q P|| under phi equals
-    ||(f - J)/Q - P|| under phi - 2 log|Q|: the divisor route of
-    best_poly_approx applied to f - J. distances[m] is ||f - J||, since J is
-    the only feasible polynomial of degree m; lower entries are NaN.
+    approximant is J + Q P, and ||f - J - Q P|| is the divisor route of
+    best_poly_approx applied to f - J: least squares of f - J on the basis
+    Q ((z - p)/s)^k. distances[m] is ||f - J||, since J is the only feasible
+    polynomial of degree m; lower entries are NaN.
     """
     p, s = _resolve_ps(domain, p, s)
     k = len(jet)

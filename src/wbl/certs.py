@@ -102,6 +102,7 @@ def poisson_bounds_check(p: float, samples, tol: float = 1e-9) -> dict:
     failure (the sandwich is proven, so a violation means a quadrature bug).
     """
     cp = cp_constant(p)
+    samples = list(samples)
     lower_margin = math.inf
     upper_margin = math.inf
     for x, y in samples:
@@ -116,7 +117,7 @@ def poisson_bounds_check(p: float, samples, tol: float = 1e-9) -> dict:
         upper_margin = min(upper_margin, hi / u)
     return {
         "p": p,
-        "n_samples": len(list(samples)),
+        "n_samples": len(samples),
         "min_lower_margin": lower_margin,
         "min_upper_margin": upper_margin,
         "violations": 0,
@@ -205,8 +206,13 @@ class NonDensityCertificate:
 
     def gap(self, r):
         """r/4 - log(1 + 4 exp(C_1 + C_p r^p)); positive for all r >= Y."""
-        r = np.asarray(r, dtype=float)
-        return 0.25 * r - np.logaddexp(0.0, self.C_1 + self.C_p * r**self.p + LOG4)
+        return _gap(r, self.p, self.C_p, self.C_1)
+
+
+def _gap(r, p, c_p, c_1):
+    """The certificate's gap r/4 - log(1 + 4 exp(c_1 + c_p r^p))."""
+    r = np.asarray(r, dtype=float)
+    return 0.25 * r - np.logaddexp(0.0, c_1 + c_p * r**p + LOG4)
 
 
 _Y_CAP = 1e6
@@ -229,8 +235,7 @@ def nondensity_certificate(p: float, M: float) -> NonDensityCertificate:
     c_1 = math.log(M) + 1.0 - 0.5 * math.log(math.pi)
 
     def gap(r):
-        r = np.asarray(r, dtype=float)
-        return 0.25 * r - np.logaddexp(0.0, c_1 + c_p * r**p + LOG4)
+        return _gap(r, p, c_p, c_1)
 
     try:
         r_star = (4.0 * c_p * p) ** (1.0 / (1.0 - p))

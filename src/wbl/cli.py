@@ -286,7 +286,8 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="cmd", required=True)
     for name, (_, needs_config) in _RUNNERS.items():
         sp = sub.add_parser(name)
-        sp.add_argument("--config", required=needs_config, help="JSON experiment config")
+        if needs_config:
+            sp.add_argument("--config", required=True, help="JSON experiment config")
         sp.add_argument("--out", default=".", help="output directory")
         sp.add_argument("--tol", type=float, default=None, help="quadrature tolerance override")
         if name == "certify":

@@ -67,17 +67,6 @@ class QuadratureGrid:
         return len(self.cells)
 
 
-class _Core:
-    """Excluded neighborhood of a singular point with an analytic bound."""
-
-    __slots__ = ("point", "order", "bound")
-
-    def __init__(self, point, order, bound):
-        self.point = point
-        self.order = order
-        self.bound = bound
-
-
 def _ring_abs(g, center, radius, n=16):
     ang = TWO_PI * (np.arange(n) + 0.37) / n
     vals = np.abs(np.asarray(g(center + radius * np.exp(1j * ang)), dtype=complex))
@@ -117,7 +106,8 @@ class _Engine:
         self.nb = domain.max_branches()
         x0, x1, y0, y1 = domain.bounding_box()
         self.scale = 0.5 * math.hypot(x1 - x0, y1 - y0)
-        self.cores: list[_Core] = []
+        # sum of the analytic bounds of the excluded singular cores
+        self.core_total = 0.0
         self.singular_points = tuple(complex(p) for p in singular_points)
 
         self.t0 = np.empty(0)
@@ -130,9 +120,6 @@ class _Engine:
 
     # ---- section helpers -------------------------------------------------
 
-    def _sections(self, theta):
-        return self.domain.radial_sections(theta)
-
     def _locate(self, z):
         """(theta, u, branch, width / r) of an interior point, or None."""
         dz = z - self.center
@@ -140,7 +127,7 @@ class _Engine:
         if r <= 1e-12 * self.scale:
             return None
         theta = math.atan2(dz.imag, dz.real) % TWO_PI
-        sec = self._sections(np.array([theta]))[0]
+        sec = self.domain.radial_sections(np.array([theta]))[0]
         for b in range(sec.shape[0]):
             lo, hi = sec[b]
             if hi - lo > 0 and lo - 1e-12 <= r <= hi + 1e-12:
@@ -159,7 +146,7 @@ class _Engine:
         xg, _ = _gl(self.q)
         B = len(t0)
         theta = t0[:, None] + 0.5 * (xg + 1.0)[None, :] * (t1 - t0)[:, None]
-        sec = self._sections(theta.ravel()).reshape(B, self.q, self.nb, 2)
+        sec = self.domain.radial_sections(theta.ravel()).reshape(B, self.q, self.nb, 2)
         bi = np.broadcast_to(br[:, None], (B, self.q))
         rows = np.broadcast_to(np.arange(B)[:, None], (B, self.q))
         cols = np.broadcast_to(np.arange(self.q)[None, :], (B, self.q))
@@ -181,8 +168,9 @@ class _Engine:
         total = (inner * wg[None, :]).sum(axis=1)
         return total * 0.25 * (t1 - t0) * (u1 - u0)
 
-    def _evaluate(self, t0, t1, u0, u1, br):
-        """Fine value (2x2 split) and error estimate vs the single-cell rule."""
+    def _append(self, t0, t1, u0, u1, br):
+        """Add cells valued by their 2x2 split, with the split's difference
+        from the single-cell rule as error estimate."""
         coarse = self._rule(t0, t1, u0, u1, br)
         tm = 0.5 * (t0 + t1)
         um = 0.5 * (u0 + u1)
@@ -190,28 +178,25 @@ class _Engine:
         for ta, tb in ((t0, tm), (tm, t1)):
             for ua, ub in ((u0, um), (um, u1)):
                 fine = fine + self._rule(ta, tb, ua, ub, br)
-        return fine, np.abs(fine - coarse)
-
-    def _append(self, t0, t1, u0, u1, br):
-        fine, est = self._evaluate(t0, t1, u0, u1, br)
         self.t0 = np.concatenate([self.t0, t0])
         self.t1 = np.concatenate([self.t1, t1])
         self.u0 = np.concatenate([self.u0, u0])
         self.u1 = np.concatenate([self.u1, u1])
         self.br = np.concatenate([self.br, br])
         self.val = np.concatenate([self.val, fine])
-        self.est = np.concatenate([self.est, est])
+        self.est = np.concatenate([self.est, np.abs(fine - coarse)])
 
     # ---- singular-point treatment ---------------------------------------
 
     def _treat_center(self, budget):
-        """Geometric u-ladder toward r=0 on branches that start at the center."""
+        """Rung edges in u, from the excluded core up to 1, of the geometric
+        ladder toward r=0 on branches that start at the center."""
         order = _estimate_order(self.g, self.center, self.scale)
         if order >= 1.995:
             raise NonIntegrableSingularity(
                 f"singularity at {self.center} has sampled order {order:.3f} >= 2"
             )
-        probe = self._sections(np.linspace(0.0, TWO_PI, 64, endpoint=False))
+        probe = self.domain.radial_sections(np.linspace(0.0, TWO_PI, 64, endpoint=False))
         r_max = float(np.max(probe[..., 1]))
         # shrink the core until its analytic bound fits the budget
         u_core = 2.0 ** -(8 + 4 * order)
@@ -220,8 +205,11 @@ class _Engine:
             if bound <= budget or u_core < 1e-120:
                 break
             u_core *= 0.25
-        self.cores.append(_Core(self.center, order, bound))
-        return u_core
+        self.core_total += bound
+        ladder = [u_core]
+        while ladder[-1] < 1.0:
+            ladder.append(min(1.0, ladder[-1] * 4.0))
+        return np.array(ladder)
 
     def _treat_point(self, point, budget):
         """Ladder every initial cell whose closure holds an interior singular
@@ -262,7 +250,7 @@ class _Engine:
                     break
                 rect, others = self._split_toward(rect, t, u_s, *cut)
                 sides += others
-            self.cores.append(_Core(point, order, bound))
+            self.core_total += bound
         self._drop([i for i, _ in held])
         if sides:
             t0, t1, u0, u1 = np.array(sides).T
@@ -294,7 +282,7 @@ class _Engine:
         t0, t1, u0, u1 = rect
         ts = np.array([t0, t0, t1, t1, 0.5 * (t0 + t1), t0, t1, 0.5 * (t0 + t1)])
         us = np.array([u0, u1, u0, u1, u0, 0.5 * (u0 + u1), 0.5 * (u0 + u1), u1])
-        sec = self._sections(ts)
+        sec = self.domain.radial_sections(ts)
         lo = sec[np.arange(len(ts)), branch, 0]
         hi = sec[np.arange(len(ts)), branch, 1]
         r = lo + (hi - lo) * us
@@ -339,48 +327,38 @@ class _Engine:
         center_in = bool(self.domain.contains(self.center)) and bool(center_sing)
         n_treat = len(interior) + (1 if center_in else 0)
         budget = 0.25 * self.tol / max(1, n_treat)
+        # one initial cell per (theta segment, branch), segment-major
+        seg = np.array(edges)
+        t = np.repeat(seg, self.nb, axis=0)
+        br = np.tile(np.arange(self.nb), len(edges))
+        u0, u1 = np.zeros(len(br)), np.ones(len(br))
         if self.relative:
             # core budgets are fixed before refinement, so they take the mass
-            # from one rule on each initial (theta segment, branch) cell
-            t = np.repeat(np.array(edges), self.nb, axis=0)
-            br = np.tile(np.arange(self.nb), len(edges))
-            u = np.zeros(len(br))
-            budget *= abs(complex(self._rule(t[:, 0], t[:, 1], u, u + 1.0, br).sum()))
+            # from one rule on each initial cell
+            budget *= abs(complex(self._rule(t[:, 0], t[:, 1], u0, u1, br).sum()))
 
-        u_edges_graded = [(0.0, 1.0)]
         if center_in:
-            u_core = self._treat_center(budget)
-            ladder = [u_core]
-            while ladder[-1] < 1.0:
-                ladder.append(min(1.0, ladder[-1] * 4.0))
-            u_edges_graded = list(zip(ladder[:-1], ladder[1:]))
-
-        t0s, t1s, u0s, u1s, brs = [], [], [], [], []
-        probe = self._sections(np.array([0.5 * (a + b) for a, b in edges]))
-        for i, (a, b) in enumerate(edges):
-            for branch in range(self.nb):
-                lo, hi = probe[i, branch]
-                graded = center_in and lo == 0.0
-                for ua, ub in u_edges_graded if graded else [(0.0, 1.0)]:
-                    t0s.append(a)
-                    t1s.append(b)
-                    u0s.append(ua)
-                    u1s.append(ub)
-                    brs.append(branch)
-        self._append(
-            np.array(t0s), np.array(t1s), np.array(u0s), np.array(u1s),
-            np.array(brs, dtype=np.int64),
-        )
+            # a branch starting at the center is cut into the rungs of a
+            # geometric u-ladder, kept in order after its segment and branch
+            ladder = self._treat_center(budget)
+            mid = self.domain.radial_sections(0.5 * (seg[:, 0] + seg[:, 1]))
+            starts = mid[:, :, 0].ravel() == 0.0
+            reps = np.where(starts, len(ladder) - 1, 1)
+            rung = np.arange(reps.sum()) - np.repeat(np.cumsum(reps) - reps, reps)
+            graded = np.repeat(starts, reps)
+            t, br = np.repeat(t, reps, axis=0), np.repeat(br, reps)
+            u0 = np.where(graded, ladder[rung], 0.0)
+            u1 = np.where(graded, ladder[rung + 1], 1.0)
+        self._append(t[:, 0], t[:, 1], u0, u1, br)
 
         for p in interior:
             if center_in and abs(p - self.center) <= 1e-12 * self.scale:
                 continue
             self._treat_point(p, budget)
 
-        core_total = sum(c.bound for c in self.cores)
         while True:
             tol_eff = self.tol * abs(complex(self.val.sum())) if self.relative else self.tol
-            total = float(self.est.sum()) + core_total
+            total = float(self.est.sum()) + self.core_total
             if total <= tol_eff:
                 break
             if len(self.t0) >= self.max_cells:
@@ -402,7 +380,7 @@ class _Engine:
                     self._append(ta, tb, ua, ub, br)
 
         value = complex(self.val.sum())
-        err = float(self.est.sum()) + core_total
+        err = float(self.est.sum()) + self.core_total
         return value, err
 
     def export_grid(self):

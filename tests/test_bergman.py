@@ -180,8 +180,8 @@ def test_divisor_route_series_oracle(unit_disc):
 
 
 def test_divisor_evaluated_once_per_node_array(unit_disc, monkeypatch):
-    """The divisor route shares Q(z) between the target f/Q and the weight,
-    in the pilot and in the least squares, where each node meets Q once."""
+    """The divisor route evaluates Q once per pilot call and, in the least
+    squares, once per node."""
     arrays, grids = [], []
 
     class CountedQ(Polynomial):

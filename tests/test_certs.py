@@ -73,6 +73,11 @@ def test_poisson_bounds_check_log_spaced():
     assert report["min_upper_margin"] > 1
 
 
+def test_poisson_bounds_check_counts_one_shot_samples():
+    samples = ((r * math.cos(0.9), r * math.sin(0.9)) for r in (0.5, 1.0, 2.0))
+    assert poisson_bounds_check(0.5, samples, tol=1e-9)["n_samples"] == 3
+
+
 def test_poisson_bounds_check_flags_bugs(monkeypatch):
     monkeypatch.setattr(wbl.certs, "poisson_extension", lambda p, x, y, tol: 0.0)
     with pytest.raises(BoundViolated):

@@ -71,6 +71,13 @@ def test_certify_formula_values(tmp_path):
     assert doc["checks"]["gap_samples"] == 10000
 
 
+@pytest.mark.parametrize("argv", [["certify", "--M", "10"], ["poisson-check"]])
+def test_config_rejected_where_unread(tmp_path, argv):
+    """Only the subcommands that read a config accept --config."""
+    with pytest.raises(SystemExit):
+        main(argv + ["--p", "0.5", "--config", "/nonexistent.json", "--out", str(tmp_path)])
+
+
 def test_moon_criterion_subcommand(tmp_path):
     cfg = {
         "domain": {

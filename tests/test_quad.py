@@ -72,6 +72,20 @@ def test_additive_over_disjoint_split(figure_moon):
     assert abs(v_moon + v_hole - v_outer) <= e1 + e2 + e3 + 1e-12
 
 
+@pytest.mark.parametrize(
+    "alpha, ref",
+    # 2 pi 2^(2-a)/(2-a) minus the hole's integral over |t| <= asin(7/13) of
+    # [(c+s)^(2-a) - (c-s)^(2-a)]/(2-a), c = 1.3 cos t and
+    # s = sqrt(0.49 - 1.69 sin^2 t), by mpmath at 30 digits
+    [(0.5, 10.484271207686375), (1.0, 11.333788543291477), (1.5, 16.632860568828375)],
+)
+def test_center_grading_on_two_branch_domain(figure_moon, alpha, ref):
+    """A singular radial center on a moon: only branch 0 starts at the center
+    and is cut into rungs; the second branch keeps one cell per segment."""
+    v, e = integrate(figure_moon, lambda z: np.abs(z) ** -alpha, (0j,), 1e-10)
+    assert abs(v.real - ref) <= e <= 1e-10
+
+
 def test_monotone_in_domain():
     def g(z):
         return 1.0 / (1.0 + np.abs(z) ** 2)
