@@ -174,7 +174,9 @@ def potential_mass_bound(alphas, points, A, tol: float = 1e-8, **kw) -> Potentia
             acc = acc * np.abs(z - zi) ** (-ai)
         return acc
 
-    value, err = integrate(A, g, tuple(points), tol, **kw)
+    # the exact order of g at each point is the summed mass of the points there
+    orders = tuple((zi, sum(a for zj, a in zip(points, alphas) if zj == zi)) for zi in points)
+    value, err = integrate(A, g, orders, tol, **kw)
     integral = value.real
     R = math.sqrt(_domain_area(A) / math.pi)
     radial_bound = R ** (2.0 - total) / (2.0 - total)
@@ -193,7 +195,8 @@ class NonDensityCertificate:
     Semantics: every polynomial P with ||cos(z/2) - P|| <= 1 in the weighted
     norm with exponent p and norm budget M >= 1 + ||cos(z/2)|| satisfies
     ||cos(z/2) - P||^2 >= epsilon0_sq, hence the infimum over all polynomials
-    is >= min(1, epsilon0_sq) > 0.
+    is >= min(1, epsilon0_sq) > 0. log_epsilon0_sq is its natural log, which
+    stays finite where epsilon0_sq underflows to 0.0 (p = 0.7, M = 10).
     """
 
     p: float
@@ -203,6 +206,7 @@ class NonDensityCertificate:
     Y: float
     epsilon0_sq: float
     gap_samples: int
+    log_epsilon0_sq: float
 
     def gap(self, r):
         """r/4 - log(1 + 4 exp(C_1 + C_p r^p)); positive for all r >= Y."""
@@ -277,8 +281,10 @@ def nondensity_certificate(p: float, M: float) -> NonDensityCertificate:
 
     exponent = 2.0 * c_1 + 2.0 * c_p * y**p - 2.0 * y
     eps = min(1.0, (math.pi / 3.0) * math.exp(exponent))
+    log_eps = float(min(0.0, math.log(math.pi / 3.0) + exponent))
     return NonDensityCertificate(
-        p=p, M=M, C_p=c_p, C_1=c_1, Y=y, epsilon0_sq=eps, gap_samples=len(check)
+        p=p, M=M, C_p=c_p, C_1=c_1, Y=y, epsilon0_sq=eps, gap_samples=len(check),
+        log_epsilon0_sq=log_eps,
     )
 
 

@@ -147,6 +147,7 @@ def _run_certify(args, out: Path) -> None:
         "C_1": cert.C_1,
         "Y": cert.Y,
         "epsilon0_sq": cert.epsilon0_sq,
+        "log_epsilon0_sq": cert.log_epsilon0_sq,
         "checks": {
             "gap_samples": cert.gap_samples,
             "poisson": {

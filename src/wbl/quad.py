@@ -5,21 +5,28 @@ sections: theta is the angle from the domain's radial center, and u in [0, 1]
 parametrizes the radial interval of the active section branch. Cells are
 axis-aligned rectangles in this space, so curved circle/arc boundaries are
 resolved exactly and the only error sources are rule truncation and small
-excluded cores around marked singular points.
+excluded cores around marked singular points off the center.
 
-Each cell carries a tensor Gauss-Legendre rule; its error estimate is the
-difference between the cell value and the sum over its 2x2 split. Marked
-singular points get geometric pre-refinement toward them in every initial cell
-whose closure holds them, with near-square cores: the innermost cell around
-each (the core) is excluded from the rule and bounded analytically using the
-sampled singularity order; core bounds are part of the reported error
-estimate. Refinement always processes the worst cells first with index ties
-broken deterministically, and final values are summed in creation order, so
-identical inputs give bit-identical results.
+Each cell carries a tensor Gauss rule: Gauss-Legendre in theta, and in u
+Gauss-Legendre or, on the innermost cell of a branch that starts at a
+singular radial center, Gauss-Jacobi with weight u^(1 - a) for the
+singularity's order a (Golub & Welsch, Math. Comp. 23, 1969). There the
+integrand times the Jacobian is u^(1 - a) times a function smooth in u, so
+that cell is integrated, not excluded. The order is exact when the caller
+gives it with the point, else sampled. A cell's error estimate is the
+difference between its value and the sum over its 2x2 split. Marked singular
+points off the center get geometric pre-refinement toward them in every
+initial cell whose closure holds them, with near-square cores: the innermost
+cell around each (the core) is excluded from the rule and bounded
+analytically using the sampled order; core bounds are part of the reported
+error estimate. Refinement always processes the worst cells first with index
+ties broken deterministically, and final values are summed in creation
+order, so identical inputs give bit-identical results.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -31,14 +38,24 @@ from .weights import ImAbsPlusPower
 
 TWO_PI = 2.0 * math.pi
 
-_GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+@functools.lru_cache(maxsize=64)
+def _gauss(order: int, beta: float = 0.0):
+    """Gauss rule for the weight (1 + x)^beta on [-1, 1], beta > -1.
 
-
-def _gl(order: int):
-    if order not in _GL_CACHE:
-        x, w = leggauss(order)
-        _GL_CACHE[order] = (x, w)
-    return _GL_CACHE[order]
+    beta = 0 is Gauss-Legendre. Otherwise the nodes are the eigenvalues of
+    the Jacobi matrix of the weight (Golub and Welsch), and the weights are
+    returned divided by (1 + x)^beta, so sum(w h(x)) integrates h itself,
+    exactly when h / (1 + x)^beta is a polynomial of degree < 2 order.
+    """
+    if beta == 0.0:
+        return leggauss(order)
+    n = np.arange(1, order)
+    s = 2.0 * n + beta
+    diag = np.concatenate([[beta / (beta + 2.0)], beta**2 / (s * (s + 2.0))])
+    off = 2.0 * n * (n + beta) / (s * np.sqrt(s * s - 1.0))
+    x, vec = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    mu0 = 2.0 ** (beta + 1.0) / (beta + 1.0)
+    return x, mu0 * vec[0] ** 2 / (1.0 + x) ** beta
 
 
 @dataclass
@@ -94,6 +111,9 @@ def _core_bound(g, point, rho, order):
     return 2.0 * c_loc * TWO_PI * rho ** (2.0 - order) / (2.0 - order)
 
 
+_CELL_FIELDS = ("t0", "t1", "u0", "u1", "br", "beta", "val", "est")
+
+
 class _Engine:
     def __init__(self, domain, g, singular_points, tol, rule_order, max_cells, relative=False):
         self.domain = domain
@@ -108,13 +128,19 @@ class _Engine:
         self.scale = 0.5 * math.hypot(x1 - x0, y1 - y0)
         # sum of the analytic bounds of the excluded singular cores
         self.core_total = 0.0
-        self.singular_points = tuple(complex(p) for p in singular_points)
+        # (point, order or None): an entry is a point or a (point, order) pair
+        self.singular_points = tuple(
+            (complex(p[0]), float(p[1])) if isinstance(p, tuple) else (complex(p), None)
+            for p in singular_points
+        )
 
         self.t0 = np.empty(0)
         self.t1 = np.empty(0)
         self.u0 = np.empty(0)
         self.u1 = np.empty(0)
         self.br = np.empty(0, dtype=np.int64)
+        # Jacobi exponent of each cell's rule in u; 0 is Gauss-Legendre
+        self.beta = np.empty(0)
         self.val = np.empty(0, dtype=complex)
         self.est = np.empty(0)
 
@@ -138,12 +164,24 @@ class _Engine:
 
     # ---- cell evaluation -------------------------------------------------
 
-    def _nodes(self, t0, t1, u0, u1, br):
-        """Tensor GL nodes z of a batch of cells and their Jacobians r * width.
+    def _u_rule(self, beta):
+        """Nodes and weights in u on [-1, 1] of a batch of cells, shape (1, q)
+        when every cell has the Gauss-Legendre rule, else (B, q)."""
+        if not beta.any():
+            x, w = _gauss(self.q)
+            return x[None, :], w[None, :]
+        uniq, idx = np.unique(beta, return_inverse=True)
+        # (2, B, q): nodes and weights of each cell's rule
+        table = np.array([_gauss(self.q, b) for b in uniq.tolist()]).transpose(1, 0, 2)[:, idx]
+        return table[0], table[1]
 
-        Both have shape (B, q, q), indexed by cell, theta node and u node.
+    def _nodes(self, t0, t1, u0, u1, br, xu):
+        """Tensor nodes z of a batch of cells and their Jacobians r * width.
+
+        Both have shape (B, q, q), indexed by cell, theta node and u node;
+        xu holds the u nodes on [-1, 1], shape (1, q) or (B, q).
         """
-        xg, _ = _gl(self.q)
+        xg, _ = _gauss(self.q)
         B = len(t0)
         theta = t0[:, None] + 0.5 * (xg + 1.0)[None, :] * (t1 - t0)[:, None]
         sec = self.domain.radial_sections(theta.ravel()).reshape(B, self.q, self.nb, 2)
@@ -153,63 +191,75 @@ class _Engine:
         lo = sec[rows, cols, bi, 0]
         hi = sec[rows, cols, bi, 1]
         width = np.maximum(0.0, hi - lo)
-        u = u0[:, None] + 0.5 * (xg + 1.0)[None, :] * (u1 - u0)[:, None]
+        u = u0[:, None] + 0.5 * (xu + 1.0) * (u1 - u0)[:, None]
         r = lo[:, :, None] + width[:, :, None] * u[:, None, :]
         z = self.center + r * np.exp(1j * theta)[:, :, None]
         return z, r * width[:, :, None]
 
-    def _rule(self, t0, t1, u0, u1, br):
-        """Tensor GL value of a batch of cells, shape (B,)."""
-        _, wg = _gl(self.q)
-        z, jac = self._nodes(t0, t1, u0, u1, br)
+    def _rule(self, t0, t1, u0, u1, br, beta):
+        """Tensor Gauss value of a batch of cells, shape (B,)."""
+        _, wg = _gauss(self.q)
+        xu, wu = self._u_rule(beta)
+        z, jac = self._nodes(t0, t1, u0, u1, br, xu)
         vals = np.asarray(self.g(z.reshape(-1)), dtype=complex).reshape(z.shape)
         integ = vals * jac
-        inner = (integ * wg[None, None, :]).sum(axis=2)
+        inner = (integ * wu[:, None, :]).sum(axis=2)
         total = (inner * wg[None, :]).sum(axis=1)
         return total * 0.25 * (t1 - t0) * (u1 - u0)
 
-    def _append(self, t0, t1, u0, u1, br):
-        """Add cells valued by their 2x2 split, with the split's difference
-        from the single-cell rule as error estimate."""
-        coarse = self._rule(t0, t1, u0, u1, br)
+    def _values(self, t0, t1, u0, u1, br, beta):
+        """Cell values by their 2x2 split, and the split's difference from
+        the single-cell rule as error estimate. Of the split, the halves at
+        the lower u edge keep the cell's rule; the others take Gauss-Legendre."""
+        coarse = self._rule(t0, t1, u0, u1, br, beta)
         tm = 0.5 * (t0 + t1)
         um = 0.5 * (u0 + u1)
         fine = np.zeros_like(coarse)
         for ta, tb in ((t0, tm), (tm, t1)):
-            for ua, ub in ((u0, um), (um, u1)):
-                fine = fine + self._rule(ta, tb, ua, ub, br)
-        self.t0 = np.concatenate([self.t0, t0])
-        self.t1 = np.concatenate([self.t1, t1])
-        self.u0 = np.concatenate([self.u0, u0])
-        self.u1 = np.concatenate([self.u1, u1])
-        self.br = np.concatenate([self.br, br])
-        self.val = np.concatenate([self.val, fine])
-        self.est = np.concatenate([self.est, np.abs(fine - coarse)])
+            for ua, ub, bb in ((u0, um, beta), (um, u1, np.zeros_like(beta))):
+                fine = fine + self._rule(ta, tb, ua, ub, br, bb)
+        return fine, np.abs(fine - coarse)
+
+    def _append(self, t0, t1, u0, u1, br, beta, values=None):
+        """Add cells, valued by _values unless their (values, estimates) are given."""
+        val, est = self._values(t0, t1, u0, u1, br, beta) if values is None else values
+        for name, new in zip(_CELL_FIELDS, (t0, t1, u0, u1, br, beta, val, est)):
+            setattr(self, name, np.concatenate([getattr(self, name), new]))
 
     # ---- singular-point treatment ---------------------------------------
 
-    def _treat_center(self, budget):
-        """Rung edges in u, from the excluded core up to 1, of the geometric
-        ladder toward r=0 on branches that start at the center."""
-        order = _estimate_order(self.g, self.center, self.scale)
+    def _treat_center(self, budget, t, br):
+        """Append a Gauss-Jacobi cell [0, u_core] in u, with weight u^(1 - a),
+        on segment t[i] of each branch br[i] that starts at a singular center
+        of order a; return u_core.
+
+        a is exact when every entry at the center gives the same order, else
+        sampled. u_core starts at 1/4, or for a sampled order where its
+        geometric ladder would start, and shrinks by 4 while the cells'
+        summed estimate exceeds the budget.
+        """
+        orders = {o for p, o in self.singular_points if self._at_center(p)}
+        exact = None not in orders and len(orders) == 1
+        order = orders.pop() if exact else _estimate_order(self.g, self.center, self.scale)
         if order >= 1.995:
             raise NonIntegrableSingularity(
-                f"singularity at {self.center} has sampled order {order:.3f} >= 2"
+                f"singularity at {self.center} has order {order:.3f} >= 2"
             )
-        probe = self.domain.radial_sections(np.linspace(0.0, TWO_PI, 64, endpoint=False))
-        r_max = float(np.max(probe[..., 1]))
-        # shrink the core until its analytic bound fits the budget
-        u_core = 2.0 ** -(8 + 4 * order)
+        t0, t1 = t[:, 0], t[:, 1]
+        u0, beta = np.zeros(len(br)), np.full(len(br), 1.0 - order)
+        u_core = 0.25 if exact else 2.0 ** -(8 + 4 * order)
         for _ in range(200):
-            bound = _core_bound(self.g, self.center, r_max * u_core, order)
-            if bound <= budget or u_core < 1e-120:
+            u1 = np.full(len(br), u_core)
+            values = self._values(t0, t1, u0, u1, br, beta)
+            if float(values[1].sum()) <= budget or u_core < 1e-120:
                 break
             u_core *= 0.25
-        self.core_total += bound
-        ladder = [u_core]
-        while ladder[-1] < 1.0:
-            ladder.append(min(1.0, ladder[-1] * 4.0))
-        return np.array(ladder)
+        self._append(t0, t1, u0, u1, br, beta, values)
+        return u_core
+
+    def _at_center(self, p):
+        """Whether a point is the radial center, up to 1e-12 of the scale."""
+        return abs(p - self.center) <= 1e-12 * self.scale
 
     def _treat_point(self, point, budget):
         """Ladder every initial cell whose closure holds an interior singular
@@ -233,9 +283,10 @@ class _Engine:
                 & (self.u0 <= u_s) & (u_s <= self.u1)
             )
         ]
-        sides = []
+        sides, side_beta = [], []
         for i, t in held:
             rect = [self.t0[i], self.t1[i], self.u0[i], self.u1[i]]
+            n_sides = len(sides)
             for _ in range(600):
                 rho = self._rect_radius(rect, b_s, point)
                 bound = _core_bound(self.g, point, rho, order)
@@ -251,10 +302,13 @@ class _Engine:
                 rect, others = self._split_toward(rect, t, u_s, *cut)
                 sides += others
             self.core_total += bound
+            # a side at u = 0 of a Gauss-Jacobi cell keeps its rule
+            side_beta += [self.beta[i] if c[2] == 0.0 else 0.0 for c in sides[n_sides:]]
         self._drop([i for i, _ in held])
         if sides:
             t0, t1, u0, u1 = np.array(sides).T
-            self._append(t0, t1, u0, u1, np.full(len(sides), b_s, dtype=np.int64))
+            br = np.full(len(sides), b_s, dtype=np.int64)
+            self._append(t0, t1, u0, u1, br, np.array(side_beta))
 
     def _split_toward(self, rect, theta_s, u_s, cut_t, cut_u):
         """Split the cut sides of a cell so that no new edge passes through the
@@ -292,7 +346,7 @@ class _Engine:
     def _drop(self, idx):
         keep = np.ones(len(self.t0), dtype=bool)
         keep[idx] = False
-        for name in ("t0", "t1", "u0", "u1", "br", "val", "est"):
+        for name in _CELL_FIELDS:
             setattr(self, name, getattr(self, name)[keep])
 
     # ---- main driver ------------------------------------------------------
@@ -320,13 +374,13 @@ class _Engine:
         flat = sorted(flat)
         edges = [(b0 + a, b0 + b) for a, b in zip(flat[:-1], flat[1:]) if b > a]
 
-        interior = [p for p in self.singular_points if bool(self.domain.contains(p))]
-        center_sing = [
-            p for p in self.singular_points if abs(p - self.center) <= 1e-12 * self.scale
+        at_center = [self._at_center(p) for p, _ in self.singular_points]
+        center_in = any(at_center) and bool(self.domain.contains(self.center))
+        interior = [
+            p for (p, _), c in zip(self.singular_points, at_center)
+            if not c and bool(self.domain.contains(p))
         ]
-        center_in = bool(self.domain.contains(self.center)) and bool(center_sing)
-        n_treat = len(interior) + (1 if center_in else 0)
-        budget = 0.25 * self.tol / max(1, n_treat)
+        budget = 0.25 * self.tol / max(1, len(interior) + center_in)
         # one initial cell per (theta segment, branch), segment-major
         seg = np.array(edges)
         t = np.repeat(seg, self.nb, axis=0)
@@ -334,26 +388,29 @@ class _Engine:
         u0, u1 = np.zeros(len(br)), np.ones(len(br))
         if self.relative:
             # core budgets are fixed before refinement, so they take the mass
-            # from one rule on each initial cell
-            budget *= abs(complex(self._rule(t[:, 0], t[:, 1], u0, u1, br).sum()))
+            # from one Gauss-Legendre rule on each initial cell
+            gl = np.zeros(len(br))
+            budget *= abs(complex(self._rule(t[:, 0], t[:, 1], u0, u1, br, gl).sum()))
 
         if center_in:
-            # a branch starting at the center is cut into the rungs of a
-            # geometric u-ladder, kept in order after its segment and branch
-            ladder = self._treat_center(budget)
+            # a branch starting at the center gets a Gauss-Jacobi cell at
+            # u = 0, then the rungs of a geometric u-ladder up to 1, kept in
+            # order after its segment and branch
             mid = self.domain.radial_sections(0.5 * (seg[:, 0] + seg[:, 1]))
             starts = mid[:, :, 0].ravel() == 0.0
+            ladder = [self._treat_center(budget, t[starts], br[starts])]
+            while ladder[-1] < 1.0:
+                ladder.append(min(1.0, ladder[-1] * 4.0))
+            ladder = np.array(ladder)
             reps = np.where(starts, len(ladder) - 1, 1)
             rung = np.arange(reps.sum()) - np.repeat(np.cumsum(reps) - reps, reps)
             graded = np.repeat(starts, reps)
             t, br = np.repeat(t, reps, axis=0), np.repeat(br, reps)
             u0 = np.where(graded, ladder[rung], 0.0)
             u1 = np.where(graded, ladder[rung + 1], 1.0)
-        self._append(t[:, 0], t[:, 1], u0, u1, br)
+        self._append(t[:, 0], t[:, 1], u0, u1, br, np.zeros(len(br)))
 
         for p in interior:
-            if center_in and abs(p - self.center) <= 1e-12 * self.scale:
-                continue
             self._treat_point(p, budget)
 
         while True:
@@ -372,21 +429,26 @@ class _Engine:
             sel = order[: min(512, order.size, self.max_cells - n + 1)]
             t0, t1 = self.t0[sel], self.t1[sel]
             u0, u1 = self.u0[sel], self.u1[sel]
-            br = self.br[sel]
+            br, beta = self.br[sel], self.beta[sel]
             self._drop(sel)
             tm, um = 0.5 * (t0 + t1), 0.5 * (u0 + u1)
             for ta, tb in ((t0, tm), (tm, t1)):
-                for ua, ub in ((u0, um), (um, u1)):
-                    self._append(ta, tb, ua, ub, br)
+                for ua, ub, bb in ((u0, um, beta), (um, u1, np.zeros_like(beta))):
+                    self._append(ta, tb, ua, ub, br, bb)
 
         value = complex(self.val.sum())
         err = float(self.est.sum()) + self.core_total
+        if center_in:
+            # an integrated center replaces an analytic core bound, and its
+            # exact rule's estimate can fall below the rounding of the sum
+            err = max(err, 4.0 * np.finfo(float).eps * float(np.abs(self.val).sum()))
         return value, err
 
     def export_grid(self):
-        _, wg = _gl(self.q)
-        z, jac = self._nodes(self.t0, self.t1, self.u0, self.u1, self.br)
-        w2 = wg[None, :, None] * wg[None, None, :]
+        _, wg = _gauss(self.q)
+        xu, wu = self._u_rule(self.beta)
+        z, jac = self._nodes(self.t0, self.t1, self.u0, self.u1, self.br, xu)
+        w2 = wg[None, :, None] * wu[:, None, :]
         wts = w2 * jac * (0.25 * (self.t1 - self.t0) * (self.u1 - self.u0))[:, None, None]
         cells = np.rec.fromarrays(
             [self.br, self.t0, self.t1, self.u0, self.u1, self.est],
@@ -410,7 +472,10 @@ def integrate(
     on success (tol is absolute). With strict=True a result above tolerance
     raises ToleranceNotMet carrying the best value. Point singularities of g
     must be listed in singular_points and have integrable order (< 2); g must
-    be evaluable on small rings around them.
+    be evaluable on small rings around them. An entry is a point, whose order
+    is sampled, or a (point, order) pair with the exact order a of
+    |g| ~ |z - point|^(-a) times a smooth factor; the engine uses an exact
+    order at the radial center.
     """
     eng = _Engine(domain, g, singular_points, tol, rule_order, max_cells)
     value, err = eng.run()
@@ -440,7 +505,7 @@ def build_grid(
     nodes, weights, cells = eng.export_grid()
     return QuadratureGrid(
         domain=domain,
-        singular_points=tuple(complex(p) for p in singular_points),
+        singular_points=tuple(p for p, _ in eng.singular_points),
         tol=float(tol),
         rule_order=int(rule_order),
         cells=cells,
@@ -489,7 +554,7 @@ def integrate_1d(f, edges, tol: float = 1e-10, rule_order: int = 16, max_panels:
     edges is the sorted list of initial panel boundaries (callers encode
     breakpoints and any grading ladder directly in it). Returns (value, err).
     """
-    xg, wg = _gl(rule_order)
+    xg, wg = _gauss(rule_order)
 
     def rule(a, b):
         x = a[:, None] + 0.5 * (xg + 1.0)[None, :] * (b - a)[:, None]

@@ -126,6 +126,26 @@ def test_atom_scan_at_rounding_floor(unit_disc, a):
     assert np.max(np.abs(scan.distances - oracle)[resolved] / oracle[resolved]) <= 5e-7
 
 
+@pytest.mark.parametrize("a", [2.0, -1.5j, 1.2 - 1.6j])
+def test_centred_atom_scan_on_gauss_jacobi_grid(unit_disc, monkeypatch, a):
+    """The atom's Lelong number is the exact order at the center, so the
+    scan's grid has one Gauss-Jacobi cell and one rung per theta segment, and
+    its distances match the series oracle."""
+    grids = []
+    build_grid = bergman.build_grid
+
+    def capture(*args):
+        grids.append(build_grid(*args))
+        return grids[-1]
+
+    monkeypatch.setattr(bergman, "build_grid", capture)
+    scan = density_scan(pole_target(a), unit_disc, LogPotential([(0j, 1.5)]), N_max=20, rule_order=12)
+    oracle = pole_distance_oracle(20, weight_exponent=1.5, radius=abs(a))
+    resolved = oracle >= 1e-12 * oracle[0]
+    assert np.max(np.abs(scan.distances - oracle)[resolved] / oracle[resolved]) <= 1e-6
+    assert grids[0].n_cells <= 16 and len(grids[0].nodes) <= 2304
+
+
 def test_distance_monotone_and_pythagoras(unit_disc):
     f = pole_target(2.0)
     res = best_poly_approx(f, unit_disc, ZeroWeight(), 0j, 1.0, 8, 1e-12, rule_order=12)

@@ -142,6 +142,16 @@ def test_certificate_frozen_regression():
     assert cert.epsilon0_sq > 0
 
 
+def test_certificate_floor_in_log_form():
+    """The floor's log stays finite where epsilon0_sq underflows (p = 0.7)."""
+    assert nondensity_certificate(0.7, 10.0).log_epsilon0_sq == pytest.approx(
+        -21443.343732, rel=1e-9
+    )
+    cert = nondensity_certificate(0.5, 10.0)
+    assert cert.log_epsilon0_sq == pytest.approx(math.log(cert.epsilon0_sq), rel=1e-12)
+    assert cert.log_epsilon0_sq == pytest.approx(-241.5705, rel=1e-6)
+
+
 def test_certificate_gap_holds_on_log_grid():
     cert = nondensity_certificate(0.5, 10.0)
     r = np.exp(np.linspace(math.log(cert.Y), math.log(10 * cert.Y), 10_000))

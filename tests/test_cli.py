@@ -67,6 +67,7 @@ def test_certify_formula_values(tmp_path):
     assert doc["C_1"] == pytest.approx(math.log(10) + 1 - 0.5 * math.log(math.pi), rel=1e-9)
     assert doc["C_p"] == pytest.approx(2 * math.sqrt(2), rel=1e-9)
     assert doc["epsilon0_sq"] > 0
+    assert doc["log_epsilon0_sq"] == pytest.approx(math.log(doc["epsilon0_sq"]), rel=1e-12)
     assert doc["checks"]["poisson"]["violations"] == 0
     assert doc["checks"]["gap_samples"] == 10000
 

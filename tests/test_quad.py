@@ -1,5 +1,6 @@
 import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,7 +18,8 @@ from wbl import (
     truncation_tail,
     weighted_norm_sq,
 )
-from wbl.quad import inner_product, weight_factor
+from wbl import quad
+from wbl.quad import _gauss, inner_product, weight_factor
 from wbl.errors import NonIntegrableSingularity, ToleranceNotMet, UnsupportedGrowth
 
 ONE = lambda z: np.ones(z.shape)
@@ -86,6 +88,77 @@ def test_center_grading_on_two_branch_domain(figure_moon, alpha, ref):
     assert abs(v.real - ref) <= e <= 1e-10
 
 
+@pytest.mark.parametrize("q", [8, 12, 24])
+@pytest.mark.parametrize("beta", [-0.5, 0.3, 0.9])
+def test_gauss_jacobi_rule(q, beta):
+    """Golub-Welsch nodes and weights match scipy's, and the rule, with its
+    weights divided by (1 + x)^beta, is exact on (1 + x)^beta x^k, k < 2q."""
+    x, w = _gauss(q, beta)
+    xs, ws = sp.roots_jacobi(q, 0.0, beta)
+    assert np.max(np.abs(x - xs)) <= 1e-14
+    assert np.max(np.abs(w * (1 + x) ** beta / ws - 1)) <= 1e-11
+    # int_-1^1 (1 + x)^beta x^k dx = 2^(beta+1) sum_j C(k, j) (-1)^(k-j) 2^j / (beta+j+1),
+    # the sum taken exactly in rationals
+    b = Fraction(beta)
+    for k in range(2 * q):
+        terms = (math.comb(k, j) * (-1) ** (k - j) * 2**j / (b + j + 1) for j in range(k + 1))
+        exact = 2 ** (beta + 1) * float(sum(terms))
+        got = float(np.sum(w * (1 + x) ** beta * x**k))
+        assert abs(got - exact) <= 1e-13 * 2 ** (beta + 1) / (beta + 1)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
+def test_center_integrated_by_gauss_jacobi_at_exact_order(unit_disc, alpha):
+    """With the center's exact order, each theta segment of a branch from the
+    center has one Gauss-Jacobi cell [0, 1/4] and no ladder below it."""
+
+    def pilot(z):
+        return np.abs(z) ** -alpha * (1 + np.abs(z) ** 40)
+
+    grid = build_grid(unit_disc, pilot, ((0j, alpha),), 1e-10, 12)
+    exact = 2 * math.pi * (1 / (2 - alpha) + 1 / (42 - alpha))
+    assert grid.value.real == pytest.approx(exact, rel=1e-12)
+    # the exported nodes and weights are a plain-Lebesgue rule
+    assert float(np.sum(grid.weights * pilot(grid.nodes))) == pytest.approx(exact, rel=1e-12)
+    inner = grid.cells.u0 < 0.25
+    assert np.all(grid.cells.u0[inner] == 0.0) and np.all(grid.cells.u1[inner] == 0.25)
+    assert inner.sum() == 8
+    # the 8 rungs [1/4, 1] are split once for the |z|^40 term at rule order 12
+    assert grid.n_cells <= 40
+
+
+def test_center_core_budget_counted_once(unit_disc, monkeypatch):
+    """A lone singular center gets the whole core budget 0.25 tol."""
+    budgets = []
+    treat = quad._Engine._treat_center
+
+    def record(self, budget, *args):
+        budgets.append(budget)
+        return treat(self, budget, *args)
+
+    monkeypatch.setattr(quad._Engine, "_treat_center", record)
+    integrate(unit_disc, lambda z: np.abs(z) ** -1, (0j,), 1e-8)
+    assert budgets == [pytest.approx(2.5e-9, rel=1e-15)]
+
+
+@pytest.mark.parametrize(
+    "orders, point, tol, ref",
+    # mpmath at 20 digits: each half of the disc cut by the perpendicular
+    # bisector of the atoms, in polar coordinates about its own atom
+    [((1.5, 0.3), 0.1, 1e-8, 19.633179824788634), ((0.5, 0.2), 0.2, 1e-3, 4.765563280542095)],
+)
+def test_atom_near_singular_center(unit_disc, orders, point, tol, ref):
+    """An atom in [0, 1/4] of the radius: the center's Gauss-Jacobi cells
+    shrink past it at 1e-8, but hold it at 1e-3, where the cells split off
+    toward it at u = 0 keep the Jacobi rule."""
+
+    def g(z):
+        return np.abs(z) ** -orders[0] * np.abs(z - point) ** -orders[1]
+
+    v, e = integrate(unit_disc, g, ((0j, orders[0]), (point, orders[1])), tol)
+    assert abs(v.real - ref) <= e <= tol
+
+
 def test_monotone_in_domain():
     def g(z):
         return 1.0 / (1.0 + np.abs(z) ** 2)
@@ -116,6 +189,11 @@ def test_deterministic_reruns(unit_moon):
 def test_non_integrable_singularity_detected(unit_disc):
     with pytest.raises(NonIntegrableSingularity):
         integrate(unit_disc, lambda z: np.abs(z) ** -2.2, (0j,), 1e-6)
+
+
+def test_non_integrable_exact_order_detected(unit_disc):
+    with pytest.raises(NonIntegrableSingularity):
+        integrate(unit_disc, lambda z: np.abs(z) ** -2.2, ((0j, 2.2),), 1e-6)
 
 
 def test_strict_tolerance_raises(unit_disc):
