@@ -22,7 +22,7 @@ from .errors import DegenerateWeight, IllConditioned, InvalidParameters, Unsuppo
 from .geometry import ArcRegion, Disc, Moon, TruncatedPlane
 # integrate stays importable here: perfbench/tracing.py patches wbl.bergman.integrate
 from .quad import build_grid, integrate, weight_factor  # noqa: F401
-from .weights import Polynomial
+from .weights import Polynomial, quadrature_points
 
 _LEAF = 8_192
 _ILL_COND = 1e14
@@ -103,21 +103,6 @@ def _check_weight(domain, w):
             )
 
 
-def _singular_points(w, f_singularities=()):
-    """The weight's and the targets' singular points for the grid.
-
-    Each weight atom that is not also a target singularity is paired with its
-    Lelong number, the exact order of e^(-phi) there; every other point is
-    left for the engine to sample.
-    """
-    try:
-        atoms = {complex(zi) for zi, _ in w.riesz_atoms()} - set(map(complex, f_singularities))
-    except UnsupportedMeasure:
-        atoms = set()
-    pts = tuple((zi, w.lelong(zi)) if zi in atoms else zi for zi in w.quadrature_singularities())
-    return pts + tuple(f_singularities)
-
-
 def _scan_grid(domain, w, p, s, N, targets, singular, tol, rule_order, max_cells, Q=None):
     """Grid adapted to the weight, the monomial family (times Q), and every |f|^2."""
 
@@ -165,7 +150,7 @@ def gram_matrix(domain, w, p=None, s=None, N=10, tol=1e-10, rule_order=8, max_ce
     """
     p, s = _resolve_ps(domain, p, s)
     _check_weight(domain, w)
-    grid = _scan_grid(domain, w, p, s, N, (), _singular_points(w), tol, rule_order, max_cells)
+    grid = _scan_grid(domain, w, p, s, N, (), quadrature_points(w), tol, rule_order, max_cells)
     R = _blocked_lsq(grid, w, p, s, N, ())
     G = R.T @ R.conj()
     G = 0.5 * (G + G.conj().T)
@@ -250,7 +235,7 @@ def _best_approx(fs, domain, w, p, s, n, tol, f_singularities, divisor_Q, rule_o
     p, s = _resolve_ps(domain, p, s)
     if divisor_Q is None:
         _check_weight(domain, w)
-        singular = _singular_points(w, f_singularities)
+        singular = quadrature_points(w, f_singularities)
     else:
         # |Q|^2 cancels part of an atom at a zero of Q, so orders are sampled
         singular = tuple(w.quadrature_singularities()) + tuple(f_singularities)

@@ -20,7 +20,7 @@ from .bergman import _density_scans, density_scan  # noqa: F401
 from .errors import CutIntersectsDomain, InvalidParameters
 from .geometry import TWO_PI, ArcRegion, ArcStage, Moon
 from .quad import integrate, weight_factor
-from .weights import Polynomial
+from .weights import Polynomial, quadrature_points
 
 
 @dataclass(frozen=True)
@@ -109,7 +109,7 @@ def change_of_variables_check(f, moon, w, spec: BranchSpec, tol: float = 1e-8, *
     discrepancy beyond the quadrature errors. Returns (lhs, rhs, discrepancy,
     combined_err).
     """
-    pts = tuple(w.quadrature_singularities())
+    pts = quadrature_points(w)
 
     def g_lhs(z):
         return np.abs(f(z)) ** 2 * weight_factor(w, z)
@@ -204,7 +204,7 @@ def strip_budget_search(k: int, alphas, P: Polynomial, w, target: float | None =
         def g(z):
             return np.abs(1.0 / spec.sqrt(z) - P(z)) ** 2 * weight_factor(w, z)
 
-        val, err = integrate(region, g, tuple(w.quadrature_singularities()), tol, **kw)
+        val, err = integrate(region, g, quadrature_points(w), tol, **kw)
         return val.real, err
 
     while alpha > alpha_floor:

@@ -4,24 +4,24 @@ The engine works in the (theta, u) parameter space of a domain's radial
 sections: theta is the angle from the domain's radial center, and u in [0, 1]
 parametrizes the radial interval of the active section branch. Cells are
 axis-aligned rectangles in this space, so curved circle/arc boundaries are
-resolved exactly and the only error sources are rule truncation and small
-excluded cores around marked singular points off the center.
+resolved exactly and the only error source is rule truncation.
 
 Each cell carries a tensor Gauss rule: Gauss-Legendre in theta, and in u
 Gauss-Legendre or, on the innermost cell of a branch that starts at a
 singular radial center, Gauss-Jacobi with weight u^(1 - a) for the
 singularity's order a (Golub & Welsch, Math. Comp. 23, 1969). There the
-integrand times the Jacobian is u^(1 - a) times a function smooth in u, so
-that cell is integrated, not excluded. The order is exact when the caller
-gives it with the point, else sampled. A cell's error estimate is the
-difference between its value and the sum over its 2x2 split. Marked singular
-points off the center get geometric pre-refinement toward them in every
-initial cell whose closure holds them, with near-square cores: the innermost
-cell around each (the core) is excluded from the rule and bounded
-analytically using the sampled order; core bounds are part of the reported
-error estimate. Refinement always processes the worst cells first with index
-ties broken deterministically, and final values are summed in creation
-order, so identical inputs give bit-identical results.
+integrand times the Jacobian is u^(1 - a) times a function smooth in u.
+A marked singular point off the center is the apex of eight Duffy triangles
+(Duffy, SIAM J. Numer. Anal. 19(6), 1982) that tile a small box around it,
+near-square in physical units. Each triangle is a cell in local coordinates
+(t, s) in [0, 1]^2, mapped to (theta, u) = A + s ((P - A) + t (P' - P)), so
+the integrand times the Jacobian is s^(1 - a) times a smooth function, and
+the same Gauss-Jacobi rule in s integrates it. The order is exact when the
+caller gives it with the point, else sampled. No singular core is excluded
+or bounded. A cell's error estimate is the difference between its value and
+the sum over its 2x2 split. Refinement always processes the worst cells first
+with index ties broken deterministically, and final values are summed in
+creation order, so identical inputs give bit-identical results.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .errors import NonIntegrableSingularity, ToleranceNotMet, UnsupportedGrowth
-from .weights import ImAbsPlusPower
+from .weights import ImAbsPlusPower, quadrature_points
 
 TWO_PI = 2.0 * math.pi
 
@@ -65,8 +65,9 @@ class QuadratureGrid:
     nodes/weights realize the plain Lebesgue measure: sum(weights * h(nodes))
     approximates the integral of h over the domain for any h resolved by the
     cells. error_estimate is the adaptive estimate for the pilot integrand the
-    grid was built for, including the analytic bounds of excluded singular
-    cores. tol is relative to the pilot integral (value).
+    grid was built for. tol is relative to the pilot integral (value). A cell's
+    duffy field is NaN for a plain cell, and (A, P - A, P' - P) in (theta, u)
+    for a Duffy triangle, whose t0..u1 are local (t, s) coordinates.
     """
 
     domain: object
@@ -103,15 +104,12 @@ def _estimate_order(g, point, scale):
     return min(max(a, 0.0), 2.5)
 
 
-def _core_bound(g, point, rho, order):
-    """Upper bound for the integral of |g| over a disc of radius rho at the point."""
-    c_loc = _ring_abs(g, point, 2.0 * rho) * (2.0 * rho) ** order
-    if not math.isfinite(c_loc):
-        return math.inf
-    return 2.0 * c_loc * TWO_PI * rho ** (2.0 - order) / (2.0 - order)
+def _circ(a, b):
+    """Distance between angles on the circle."""
+    return np.abs((a - b + math.pi) % TWO_PI - math.pi)
 
 
-_CELL_FIELDS = ("t0", "t1", "u0", "u1", "br", "beta", "val", "est")
+_CELL_FIELDS = ("t0", "t1", "u0", "u1", "br", "beta", "duffy", "val", "est")
 
 
 class _Engine:
@@ -126,28 +124,24 @@ class _Engine:
         self.nb = domain.max_branches()
         x0, x1, y0, y1 = domain.bounding_box()
         self.scale = 0.5 * math.hypot(x1 - x0, y1 - y0)
-        # sum of the analytic bounds of the excluded singular cores
-        self.core_total = 0.0
         # (point, order or None): an entry is a point or a (point, order) pair
         self.singular_points = tuple(
             (complex(p[0]), float(p[1])) if isinstance(p, tuple) else (complex(p), None)
             for p in singular_points
         )
 
-        self.t0 = np.empty(0)
-        self.t1 = np.empty(0)
-        self.u0 = np.empty(0)
-        self.u1 = np.empty(0)
+        # per cell: edges in (theta, u), or in (t, s) for a Duffy cell; branch;
+        # the Jacobi exponent of its rule in u (0 is Gauss-Legendre); its Duffy
+        # map (A, P - A, P' - P) in (theta, u), NaN if plain; value; estimate
+        self.t0 = self.t1 = self.u0 = self.u1 = self.beta = self.est = np.empty(0)
         self.br = np.empty(0, dtype=np.int64)
-        # Jacobi exponent of each cell's rule in u; 0 is Gauss-Legendre
-        self.beta = np.empty(0)
+        self.duffy = np.empty((0, 6))
         self.val = np.empty(0, dtype=complex)
-        self.est = np.empty(0)
 
     # ---- section helpers -------------------------------------------------
 
     def _locate(self, z):
-        """(theta, u, branch, width / r) of an interior point, or None."""
+        """(theta, u, branch, r, width) of an interior point, or None."""
         dz = z - self.center
         r = abs(dz)
         if r <= 1e-12 * self.scale:
@@ -159,7 +153,7 @@ class _Engine:
             if hi - lo > 0 and lo - 1e-12 <= r <= hi + 1e-12:
                 width = hi - lo
                 u = min(max((r - lo) / width, 0.0), 1.0)
-                return theta, u, b, width / r
+                return theta, u, b, r, width
         return None
 
     # ---- cell evaluation -------------------------------------------------
@@ -175,56 +169,89 @@ class _Engine:
         table = np.array([_gauss(self.q, b) for b in uniq.tolist()]).transpose(1, 0, 2)[:, idx]
         return table[0], table[1]
 
-    def _nodes(self, t0, t1, u0, u1, br, xu):
-        """Tensor nodes z of a batch of cells and their Jacobians r * width.
-
-        Both have shape (B, q, q), indexed by cell, theta node and u node;
-        xu holds the u nodes on [-1, 1], shape (1, q) or (B, q).
-        """
-        xg, _ = _gauss(self.q)
-        B = len(t0)
-        theta = t0[:, None] + 0.5 * (xg + 1.0)[None, :] * (t1 - t0)[:, None]
-        sec = self.domain.radial_sections(theta.ravel()).reshape(B, self.q, self.nb, 2)
-        bi = np.broadcast_to(br[:, None], (B, self.q))
-        rows = np.broadcast_to(np.arange(B)[:, None], (B, self.q))
-        cols = np.broadcast_to(np.arange(self.q)[None, :], (B, self.q))
-        lo = sec[rows, cols, bi, 0]
-        hi = sec[rows, cols, bi, 1]
+    def _polar(self, theta, u, br):
+        """Nodes z at (theta, u) on branch br[i] of cell i, and r * width."""
+        sec = self.domain.radial_sections(theta.ravel()).reshape(theta.shape + (self.nb, 2))
+        if self.nb > 1:
+            sec = np.take_along_axis(sec, br.reshape((-1,) + (1,) * (theta.ndim + 1)), axis=-2)
+        lo, hi = sec[..., 0, 0], sec[..., 0, 1]
         width = np.maximum(0.0, hi - lo)
-        u = u0[:, None] + 0.5 * (xu + 1.0) * (u1 - u0)[:, None]
-        r = lo[:, :, None] + width[:, :, None] * u[:, None, :]
-        z = self.center + r * np.exp(1j * theta)[:, :, None]
-        return z, r * width[:, :, None]
+        r = lo + width * u
+        return self.center + r * np.exp(1j * theta), r * width
 
-    def _rule(self, t0, t1, u0, u1, br, beta):
+    def _nodes(self, t0, t1, u0, u1, br, xu, duffy):
+        """Tensor nodes z of a batch of cells and their Jacobians, both of shape
+        (B, q, q): cell, theta (or t) node, u (or s) node. xu holds the u nodes
+        on [-1, 1], shape (1, q) or (B, q). Plain and Duffy cells go apart."""
+        xg, _ = _gauss(self.q)
+        t = (t0[:, None] + 0.5 * (xg + 1.0)[None, :] * (t1 - t0)[:, None])[:, :, None]
+        u = (u0[:, None] + 0.5 * (xu + 1.0) * (u1 - u0)[:, None])[:, None, :]
+        tri = ~np.isnan(duffy[:, 0])
+        if not tri.any():
+            return self._polar(t, u, br)
+        z = np.empty((len(t0), self.q, self.q), dtype=complex)
+        jac = np.empty(z.shape)
+        z[~tri], jac[~tri] = self._polar(t[~tri], u[~tri], br[~tri])
+        # (theta, u) = A + s ((P - A) + t (P' - P)), Jacobian s |det(P - A, P' - P)|
+        a_t, a_u, p_t, p_u, q_t, q_u = duffy[tri].T[:, :, None, None]
+        s, t = u[tri], t[tri]
+        z[tri], jac[tri] = self._polar(a_t + s * (p_t + t * q_t), a_u + s * (p_u + t * q_u), br[tri])
+        jac[tri] *= s * np.abs(p_t * q_u - p_u * q_t)
+        return z, jac
+
+    def _rule(self, t0, t1, u0, u1, br, beta, duffy):
         """Tensor Gauss value of a batch of cells, shape (B,)."""
         _, wg = _gauss(self.q)
         xu, wu = self._u_rule(beta)
-        z, jac = self._nodes(t0, t1, u0, u1, br, xu)
+        z, jac = self._nodes(t0, t1, u0, u1, br, xu, duffy)
         vals = np.asarray(self.g(z.reshape(-1)), dtype=complex).reshape(z.shape)
         integ = vals * jac
         inner = (integ * wu[:, None, :]).sum(axis=2)
         total = (inner * wg[None, :]).sum(axis=1)
         return total * 0.25 * (t1 - t0) * (u1 - u0)
 
-    def _values(self, t0, t1, u0, u1, br, beta):
+    @staticmethod
+    def _children(t0, t1, u0, u1, br, beta, duffy, cut_t=True, cut_u=True):
+        """The 2x2 split of a batch of cells, where a side not cut leaves empty
+        children. The halves at the lower u edge keep the cell's rule; the
+        others take Gauss-Legendre."""
+        tm = np.where(cut_t, 0.5 * (t0 + t1), t1)
+        um = np.where(cut_u, 0.5 * (u0 + u1), u1)
+        gl = np.zeros_like(beta)
+        return [(ta, tb, ua, ub, br, bb, duffy) for ta, tb in ((t0, tm), (tm, t1))
+                for ua, ub, bb in ((u0, um, beta), (um, u1, gl))]
+
+    def _values(self, *cells):
         """Cell values by their 2x2 split, and the split's difference from
-        the single-cell rule as error estimate. Of the split, the halves at
-        the lower u edge keep the cell's rule; the others take Gauss-Legendre."""
-        coarse = self._rule(t0, t1, u0, u1, br, beta)
-        tm = 0.5 * (t0 + t1)
-        um = 0.5 * (u0 + u1)
+        the single-cell rule as error estimate."""
+        coarse = self._rule(*cells)
         fine = np.zeros_like(coarse)
-        for ta, tb in ((t0, tm), (tm, t1)):
-            for ua, ub, bb in ((u0, um, beta), (um, u1, np.zeros_like(beta))):
-                fine = fine + self._rule(ta, tb, ua, ub, br, bb)
+        for child in self._children(*cells):
+            fine = fine + self._rule(*child)
         return fine, np.abs(fine - coarse)
 
-    def _append(self, t0, t1, u0, u1, br, beta, values=None):
+    def _append(self, *cells, values=None):
         """Add cells, valued by _values unless their (values, estimates) are given."""
-        val, est = self._values(t0, t1, u0, u1, br, beta) if values is None else values
-        for name, new in zip(_CELL_FIELDS, (t0, t1, u0, u1, br, beta, val, est)):
+        val, est = self._values(*cells) if values is None else values
+        for name, new in zip(_CELL_FIELDS, cells + (val, est)):
             setattr(self, name, np.concatenate([getattr(self, name), new]))
+
+    def _drop(self, idx):
+        keep = np.ones(len(self.t0), dtype=bool)
+        keep[idx] = False
+        for name in _CELL_FIELDS:
+            setattr(self, name, getattr(self, name)[keep])
+
+    def _cuts(self, t0, t1, u0, u1, br, beta, duffy):
+        """Sides to halve: each at least half the other, so that thin cells by a
+        small Duffy box, or at the apex of an inexact one, do not multiply. A
+        plain cell's sides compare as r^2 dtheta and (r width) du, a Duffy
+        cell's in units of its triangle's legs, as s1 dt and ds."""
+        z, jac = self._polar(0.5 * (t0 + t1), 0.5 * (u0 + u1), br)
+        tri = ~np.isnan(duffy[:, 0])
+        d_t = np.where(tri, u1, np.abs(z - self.center) ** 2) * (t1 - t0)
+        d_u = np.where(tri, 1.0, jac) * (u1 - u0)
+        return 2 * d_t >= d_u, 2 * d_u >= d_t
 
     # ---- singular-point treatment ---------------------------------------
 
@@ -239,130 +266,109 @@ class _Engine:
         summed estimate exceeds the budget.
         """
         orders = {o for p, o in self.singular_points if self._at_center(p)}
-        exact = None not in orders and len(orders) == 1
-        order = orders.pop() if exact else _estimate_order(self.g, self.center, self.scale)
-        if order >= 1.995:
-            raise NonIntegrableSingularity(
-                f"singularity at {self.center} has order {order:.3f} >= 2"
-            )
+        order, exact = self._order(self.center, orders)
         t0, t1 = t[:, 0], t[:, 1]
         u0, beta = np.zeros(len(br)), np.full(len(br), 1.0 - order)
+        plain = np.full((len(br), 6), np.nan)
         u_core = 0.25 if exact else 2.0 ** -(8 + 4 * order)
         for _ in range(200):
             u1 = np.full(len(br), u_core)
-            values = self._values(t0, t1, u0, u1, br, beta)
+            values = self._values(t0, t1, u0, u1, br, beta, plain)
             if float(values[1].sum()) <= budget or u_core < 1e-120:
                 break
             u_core *= 0.25
-        self._append(t0, t1, u0, u1, br, beta, values)
+        self._append(t0, t1, u0, u1, br, beta, plain, values=values)
         return u_core
+
+    def _order(self, p, orders):
+        """(order, exact) of a singular point with the given entries' orders:
+        exact when all give the same one, else sampled."""
+        exact = None not in orders and len(orders) == 1
+        order = orders.pop() if exact else _estimate_order(self.g, p, self.scale)
+        if order >= 1.995:
+            raise NonIntegrableSingularity(f"singularity at {p} has order {order:.3f} >= 2")
+        return order, exact
 
     def _at_center(self, p):
         """Whether a point is the radial center, up to 1e-12 of the scale."""
         return abs(p - self.center) <= 1e-12 * self.scale
 
-    def _treat_point(self, point, budget):
-        """Ladder every initial cell whose closure holds an interior singular
-        point toward it; exclude each ladder's near-square core."""
-        order = _estimate_order(self.g, point, self.scale)
-        if order >= 1.995:
-            raise NonIntegrableSingularity(
-                f"singularity at {point} has sampled order {order:.3f} >= 2"
-            )
-        loc = self._locate(point)
-        if loc is None:
-            return
-        theta_s, u_s, b_s, u_scale = loc
-        # the initial cells span [b0, b0 + 2 pi], so test theta_s + 2 pi too; a
-        # point on a shared edge is held by every cell around it
-        held = [
-            (i, t)
-            for t in (theta_s, theta_s + TWO_PI)
-            for i in np.flatnonzero(
-                (self.br == b_s) & (self.t0 <= t) & (t <= self.t1)
-                & (self.u0 <= u_s) & (u_s <= self.u1)
-            )
-        ]
-        sides, side_beta = [], []
-        for i, t in held:
-            rect = [self.t0[i], self.t1[i], self.u0[i], self.u1[i]]
-            n_sides = len(sides)
-            for _ in range(600):
-                rho = self._rect_radius(rect, b_s, point)
-                bound = _core_bound(self.g, point, rho, order)
-                # sides in units of r = |point - center|: split only sides
-                # spanning >= 1e-13 r, far above the (theta, r) resolution, so
-                # no split or node hits the point, and >= half the longer side,
-                # so the core stays near-square
-                dt = rect[1] - rect[0]
-                du = (rect[3] - rect[2]) * u_scale
-                cut = (dt >= max(1e-13, 0.5 * du), du >= max(1e-13, 0.5 * dt))
-                if bound <= budget / len(held) or not any(cut):
-                    break
-                rect, others = self._split_toward(rect, t, u_s, *cut)
-                sides += others
-            self.core_total += bound
-            # a side at u = 0 of a Gauss-Jacobi cell keeps its rule
-            side_beta += [self.beta[i] if c[2] == 0.0 else 0.0 for c in sides[n_sides:]]
-        self._drop([i for i, _ in held])
-        if sides:
-            t0, t1, u0, u1 = np.array(sides).T
-            br = np.full(len(sides), b_s, dtype=np.int64)
-            self._append(t0, t1, u0, u1, br, np.array(side_beta))
+    def _boxes(self, b0, fixed):
+        """(theta - b0, u, branch, h_theta, h_u, 1 - order) of the box of each
+        interior singular point off the center: [theta +- h_theta] x [u +- h_u],
+        near-square (r h_theta = width h_u) with h_theta <= pi / 16. It keeps
+        half its gap to u = 0 and 1, to each fixed theta edge (one within
+        1e-14 rad takes the point), and to each other point of its branch
+        along the axis on which they are further apart, so boxes are disjoint."""
+        orders = {}
+        for p, o in self.singular_points:
+            if not self._at_center(p) and bool(self.domain.contains(p)):
+                orders.setdefault(p, set()).add(o)
+        found = []
+        for p, os in orders.items():
+            order, _ = self._order(p, os)
+            loc = self._locate(p)
+            if loc is None:
+                continue
+            theta, u, b, r, width = loc
+            th = (theta - b0) % TWO_PI
+            gaps = {f: _circ(f, th) for f in fixed}
+            th = next((f % TWO_PI for f, d in gaps.items() if d <= 1e-14), th)
+            gap = min([d for d in gaps.values() if d > 1e-14], default=math.pi / 8)
+            rho = min(r * min(gap, math.pi / 8), width * min(u, 1.0 - u)) / 2
+            found.append([th, u, b, r, width, rho, 1.0 - order])
+        for one in found:
+            th, u, b, r, width = one[:5]
+            for other in found:
+                if other is one or other[2] != b:
+                    continue
+                dt, du = _circ(th, other[0]), abs(u - other[1])
+                if (r + other[3]) * dt >= (width + other[4]) * du:
+                    one[5] = min(one[5], r * dt / 2)
+                else:
+                    one[5] = min(one[5], width * du / 2)
+        return [(th, u, b, rho / r, rho / width, beta) for th, u, b, r, width, rho, beta in found]
 
-    def _split_toward(self, rect, theta_s, u_s, cut_t, cut_u):
-        """Split the cut sides of a cell so that no new edge passes through the
-        point; return the child holding the point and the list of the others."""
-        t0, t1, u0, u1 = rect
-        tm = self._off_center_split(t0, t1, theta_s) if cut_t else t1
-        um = self._off_center_split(u0, u1, u_s) if cut_u else u1
-        t_side = (t0, tm) if theta_s <= tm else (tm, t1)
-        u_side = (u0, um) if u_s <= um else (um, u1)
-        keep = t_side + u_side
-        others = []
-        for ta, tb in ((t0, tm), (tm, t1)):
-            for ua, ub in ((u0, um), (um, u1)):
-                if (ta, tb, ua, ub) != keep and ta < tb and ua < ub:
-                    others.append((ta, tb, ua, ub))
-        return list(keep), others
-
-    @staticmethod
-    def _off_center_split(a, b, s):
-        # split so the point s never lands on the new edge
-        h = b - a
-        return s + 0.35 * h if (s - a) < 0.5 * h else s - 0.35 * h
-
-    def _rect_radius(self, rect, branch, point):
-        t0, t1, u0, u1 = rect
-        ts = np.array([t0, t0, t1, t1, 0.5 * (t0 + t1), t0, t1, 0.5 * (t0 + t1)])
-        us = np.array([u0, u1, u0, u1, u0, 0.5 * (u0 + u1), 0.5 * (u0 + u1), u1])
-        sec = self.domain.radial_sections(ts)
-        lo = sec[np.arange(len(ts)), branch, 0]
-        hi = sec[np.arange(len(ts)), branch, 1]
-        r = lo + (hi - lo) * us
-        z = self.center + r * np.exp(1j * ts)
-        return float(np.max(np.abs(z - point)))
-
-    def _drop(self, idx):
-        keep = np.ones(len(self.t0), dtype=bool)
-        keep[idx] = False
-        for name in _CELL_FIELDS:
-            setattr(self, name, getattr(self, name)[keep])
+    def _place_box(self, theta, u, br, ht, hu, beta):
+        """Tile the box [theta +- ht] x [u +- hu] of branch br with eight Duffy
+        triangles, apex (theta, u); the plain cells it overlaps, whose theta
+        edges it shares, keep their parts below and above it."""
+        hit = np.flatnonzero(
+            (self.br == br) & np.isnan(self.duffy[:, 0])
+            & (_circ(0.5 * (self.t0 + self.t1), theta) < ht)
+            & (self.u0 < u + hu) & (self.u1 > u - hu)
+        )
+        # each hit cell's part below the box, then its part above
+        two = np.concatenate([hit, hit])
+        up = np.arange(len(two)) >= len(hit)
+        u0 = np.where(up, u + hu, self.u0[two])
+        u1 = np.where(up, self.u1[two], u - hu)
+        beta0 = np.where(up, 0.0, self.beta[two])
+        k = u1 > u0
+        parts = (self.t0[two], self.t1[two], u0, u1, self.br[two], beta0, self.duffy[two])
+        # quadrant (st, su) of the box holds the triangles A = (theta, u),
+        # P = A + (st, 0), P' = A + (st, su) and A, P = A + (st, su), P' = A + (0, su)
+        duffy = [(theta, u, st, su * a, -st * a, su * (1 - a))
+                 for st in (-ht, ht) for su in (-hu, hu) for a in (0.0, 1.0)]
+        tri = (np.zeros(8), np.ones(8), np.zeros(8), np.ones(8), np.full(8, br), np.full(8, beta))
+        self._drop(hit)
+        self._append(*(np.concatenate([p[k], t]) for p, t in zip(parts, tri + (np.array(duffy),))))
 
     # ---- main driver ------------------------------------------------------
 
     def run(self):
-        # initial theta segments between breakpoints, capped at pi/4 width,
-        # with dyadic grading into any sqrt-kink angles of the sections
+        # initial theta edges between breakpoints, capped at pi/4 apart, with
+        # dyadic grading into any sqrt-kink angles of the sections; the
+        # breakpoints and the grading are fixed, the pi/4 edges give way to
+        # the Duffy boxes
         brk = sorted(set(b % TWO_PI for b in self.domain.theta_breakpoints()))
-        if not brk:
-            brk = [0.0]
-        b0 = brk[0]
+        b0 = brk[0] if brk else 0.0
         pts = sorted({(b - b0) % TWO_PI for b in brk} | {0.0, TWO_PI})
         flat = set()
         for a, b in zip(pts[:-1], pts[1:]):
             parts = max(1, math.ceil((b - a) / (math.pi / 4)))
             flat.update(a + (b - a) * j / parts for j in range(parts + 1))
+        fixed = set(pts) if brk else set()
         kinks = getattr(self.domain, "theta_kinks", lambda: [])()
         for kk in kinks:
             k = (kk - b0) % TWO_PI
@@ -370,29 +376,29 @@ class _Engine:
                 for side in (1.0, -1.0):
                     pt = k + side * (math.pi / 4) * 2.0**-j
                     if 0.0 < pt < TWO_PI:
-                        flat.add(pt)
+                        fixed.add(pt)
+        flat |= fixed
+        boxes = self._boxes(b0, fixed)
+        stay = fixed | {0.0, TWO_PI}
+        for th, _, _, ht, *_ in boxes:
+            flat = {e for e in flat if e in stay or _circ(e, th) > ht * (1 + 1e-9)}
+        flat.update(e % TWO_PI for th, _, _, ht, *_ in boxes for e in (th - ht, th, th + ht))
         flat = sorted(flat)
         edges = [(b0 + a, b0 + b) for a, b in zip(flat[:-1], flat[1:]) if b > a]
 
-        at_center = [self._at_center(p) for p, _ in self.singular_points]
-        center_in = any(at_center) and bool(self.domain.contains(self.center))
-        interior = [
-            p for (p, _), c in zip(self.singular_points, at_center)
-            if not c and bool(self.domain.contains(p))
-        ]
-        budget = 0.25 * self.tol / max(1, len(interior) + center_in)
         # one initial cell per (theta segment, branch), segment-major
         seg = np.array(edges)
         t = np.repeat(seg, self.nb, axis=0)
         br = np.tile(np.arange(self.nb), len(edges))
         u0, u1 = np.zeros(len(br)), np.ones(len(br))
-        if self.relative:
-            # core budgets are fixed before refinement, so they take the mass
-            # from one Gauss-Legendre rule on each initial cell
-            gl = np.zeros(len(br))
-            budget *= abs(complex(self._rule(t[:, 0], t[:, 1], u0, u1, br, gl).sum()))
-
-        if center_in:
+        center_in = any(self._at_center(p) for p, _ in self.singular_points)
+        if center_in and bool(self.domain.contains(self.center)):
+            budget = 0.25 * self.tol
+            if self.relative:
+                # the core budget is fixed before refinement, so it takes the
+                # mass from one Gauss-Legendre rule on each initial cell
+                gl, plain = np.zeros(len(br)), np.full((len(br), 6), np.nan)
+                budget *= abs(complex(self._rule(t[:, 0], t[:, 1], u0, u1, br, gl, plain).sum()))
             # a branch starting at the center gets a Gauss-Jacobi cell at
             # u = 0, then the rungs of a geometric u-ladder up to 1, kept in
             # order after its segment and branch
@@ -408,51 +414,46 @@ class _Engine:
             t, br = np.repeat(t, reps, axis=0), np.repeat(br, reps)
             u0 = np.where(graded, ladder[rung], 0.0)
             u1 = np.where(graded, ladder[rung + 1], 1.0)
-        self._append(t[:, 0], t[:, 1], u0, u1, br, np.zeros(len(br)))
+        self._append(t[:, 0], t[:, 1], u0, u1, br, np.zeros(len(br)), np.full((len(br), 6), np.nan))
 
-        for p in interior:
-            self._treat_point(p, budget)
+        for th, u, b, ht, hu, beta in boxes:
+            self._place_box(b0 + th, u, b, ht, hu, beta)
 
+        # a Duffy cell splits only while its children reach >= 1e-13 r
+        # radially from the apex, r = |point - center|, so no node nears it
         while True:
             tol_eff = self.tol * abs(complex(self.val.sum())) if self.relative else self.tol
-            total = float(self.est.sum()) + self.core_total
-            if total <= tol_eff:
-                break
-            if len(self.t0) >= self.max_cells:
+            if float(self.est.sum()) <= tol_eff or len(self.t0) >= self.max_cells:
                 break
             n = len(self.t0)
             thresh = 0.5 * tol_eff / max(1, n)
-            candidates = np.flatnonzero(self.est > thresh)
+            d = self.duffy
+            reach = np.maximum(np.abs(d[:, 2]), np.abs(d[:, 2] + d[:, 4])) * (self.u1 - self.u0)
+            candidates = np.flatnonzero((self.est > thresh) & ~(reach < 2e-13))
             if candidates.size == 0:
                 break
             order = candidates[np.argsort(-self.est[candidates], kind="stable")]
             sel = order[: min(512, order.size, self.max_cells - n + 1)]
-            t0, t1 = self.t0[sel], self.t1[sel]
-            u0, u1 = self.u0[sel], self.u1[sel]
-            br, beta = self.br[sel], self.beta[sel]
+            cells = tuple(getattr(self, name)[sel] for name in _CELL_FIELDS[:7])
             self._drop(sel)
-            tm, um = 0.5 * (t0 + t1), 0.5 * (u0 + u1)
-            for ta, tb in ((t0, tm), (tm, t1)):
-                for ua, ub, bb in ((u0, um, beta), (um, u1, np.zeros_like(beta))):
-                    self._append(ta, tb, ua, ub, br, bb)
+            for child in self._children(*cells, *(self._cuts(*cells) if boxes else ())):
+                keep = (child[1] > child[0]) & (child[3] > child[2])
+                self._append(*(a[keep] for a in child))
 
-        value = complex(self.val.sum())
-        err = float(self.est.sum()) + self.core_total
-        if center_in:
-            # an integrated center replaces an analytic core bound, and its
-            # exact rule's estimate can fall below the rounding of the sum
-            err = max(err, 4.0 * np.finfo(float).eps * float(np.abs(self.val).sum()))
-        return value, err
+        # an exact rule's estimate can fall below the rounding of the sum
+        err = max(float(self.est.sum()), 4.0 * np.finfo(float).eps * float(np.abs(self.val).sum()))
+        return complex(self.val.sum()), err
 
     def export_grid(self):
         _, wg = _gauss(self.q)
         xu, wu = self._u_rule(self.beta)
-        z, jac = self._nodes(self.t0, self.t1, self.u0, self.u1, self.br, xu)
+        z, jac = self._nodes(self.t0, self.t1, self.u0, self.u1, self.br, xu, self.duffy)
         w2 = wg[None, :, None] * wu[:, None, :]
         wts = w2 * jac * (0.25 * (self.t1 - self.t0) * (self.u1 - self.u0))[:, None, None]
         cells = np.rec.fromarrays(
-            [self.br, self.t0, self.t1, self.u0, self.u1, self.est],
-            names=["branch", "t0", "t1", "u0", "u1", "est"],
+            [self.br, self.t0, self.t1, self.u0, self.u1, self.est, self.duffy],
+            dtype=[("branch", np.int64), ("t0", float), ("t1", float), ("u0", float),
+                   ("u1", float), ("est", float), ("duffy", float, 6)],
         )
         return z.reshape(-1), wts.reshape(-1), cells
 
@@ -474,8 +475,7 @@ def integrate(
     must be listed in singular_points and have integrable order (< 2); g must
     be evaluable on small rings around them. An entry is a point, whose order
     is sampled, or a (point, order) pair with the exact order a of
-    |g| ~ |z - point|^(-a) times a smooth factor; the engine uses an exact
-    order at the radial center.
+    |g| ~ |z - point|^(-a) times a smooth factor.
     """
     eng = _Engine(domain, g, singular_points, tol, rule_order, max_cells)
     value, err = eng.run()
@@ -519,33 +519,32 @@ def build_grid(
 def weight_factor(w, z):
     """exp(-phi(z)), capped at exp(700) so atom blowups stay finite.
 
-    When the atoms are listed as singular points, the engine's ladder toward
-    each splits no core side below 1e-13 |atom - radial center|, far above
-    the (theta, r) resolution, so no node sits on an atom and, for atoms of
+    When the atoms are listed as singular points, they are apexes of Duffy
+    cells that the engine splits no finer than 1e-13 |atom - radial center|
+    in reach from the apex, so no node sits on an atom and, for atoms of
     integrable order, every node stays outside the capped zone.
     """
     return np.exp(np.minimum(-np.asarray(w.evaluate(z), dtype=float), 700.0))
 
 
 def weighted_norm_sq(f, domain, w, tol: float = 1e-8, singular_points=(), **kw):
-    """integral of |f|^2 exp(-phi) over the domain, with error estimate."""
-    pts = tuple(w.quadrature_singularities()) + tuple(singular_points)
+    """integral of |f|^2 exp(-phi) over the domain, with error estimate; each
+    weight atom is integrated at its exact order."""
 
     def g(z):
         return np.abs(f(z)) ** 2 * weight_factor(w, z)
 
-    value, err = integrate(domain, g, pts, tol, **kw)
+    value, err = integrate(domain, g, quadrature_points(w, singular_points), tol, **kw)
     return max(0.0, value.real), err
 
 
 def inner_product(f, g2, domain, w, tol: float = 1e-8, singular_points=(), **kw):
     """Weighted inner product integral f * conj(g2) * exp(-phi)."""
-    pts = tuple(w.quadrature_singularities()) + tuple(singular_points)
 
     def g(z):
         return f(z) * np.conj(g2(z)) * weight_factor(w, z)
 
-    return integrate(domain, g, pts, tol, **kw)
+    return integrate(domain, g, quadrature_points(w, singular_points), tol, **kw)
 
 
 def integrate_1d(f, edges, tol: float = 1e-10, rule_order: int = 16, max_panels: int = 20_000):

@@ -280,6 +280,19 @@ def lelong_number(w: Weight, x: complex) -> float:
     return w.lelong(x)
 
 
+def quadrature_points(w: Weight, f_singularities=()):
+    """The weight's singular points, then the targets'. Each weight atom that
+    is not a target singularity is paired with its Lelong number, the exact
+    order of e^(-phi) there; quadrature samples the order of the others."""
+    targets = {complex(p[0] if isinstance(p, tuple) else p) for p in f_singularities}
+    try:
+        atoms = {complex(zi) for zi, _ in w.riesz_atoms()} - targets
+    except UnsupportedMeasure:
+        atoms = set()
+    pts = tuple((zi, w.lelong(zi)) if zi in atoms else zi for zi in w.quadrature_singularities())
+    return pts + tuple(f_singularities)
+
+
 def mass_on_disc(w: Weight, center: complex, radius: float) -> float:
     """Mass of the Riesz measure (1/2pi * laplacian phi) on the closed disc."""
     atoms = w.riesz_atoms()

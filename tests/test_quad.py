@@ -149,8 +149,8 @@ def test_center_core_budget_counted_once(unit_disc, monkeypatch):
 )
 def test_atom_near_singular_center(unit_disc, orders, point, tol, ref):
     """An atom in [0, 1/4] of the radius: the center's Gauss-Jacobi cells
-    shrink past it at 1e-8, but hold it at 1e-3, where the cells split off
-    toward it at u = 0 keep the Jacobi rule."""
+    shrink past it at 1e-8, but hold it at 1e-3, where the parts at u = 0 of
+    the cells its Duffy box overlaps keep the Jacobi rule."""
 
     def g(z):
         return np.abs(z) ** -orders[0] * np.abs(z - point) ** -orders[1]
@@ -275,14 +275,11 @@ def test_atom_off_center(unit_disc):
     sigma = vals.std() / math.sqrt(len(vals)) * math.pi
     assert abs(v.real - mc) <= 4 * sigma + 1e-6
 
-    # order 1.4 at tol 1e-10: the singular ladder stops at its floor, and no
-    # exported node comes near the atom or into the capped zone of
-    # weight_factor. The second atom lies 1e-3 rad from the initial theta
-    # edge 5 pi / 4, where a floor on the core's longer reach let the shorter
-    # side collapse; the third lies on the edge pi / 4, where cutting both
-    # sides at every ladder step left sliver cells. exact: int_0^2pi R(t)^0.6
-    # dt / 0.6 (mpmath), R(t) the distance from z0 to the unit circle in
-    # direction t
+    # order 1.4, sampled, at tol 1e-10: no exported node comes near the atom
+    # or into the capped zone of weight_factor. The second atom lies 1e-3
+    # rad from the initial theta edge 5 pi / 4, the third on the edge pi / 4.
+    # exact: int_0^2pi R(t)^0.6 dt / 0.6 (mpmath), R(t) the distance from z0
+    # to the unit circle in direction t
     for z0, exact in (
         (0.3 + 0.2j, 10.174235467232133),
         (-0.1773314278149586 - 0.17696848320868075j, 10.331286503501083),
@@ -296,13 +293,12 @@ def test_atom_off_center(unit_disc):
         assert np.max(-w.evaluate(grid.nodes)) < 700
         assert np.min(np.abs(grid.nodes - z0)) > 1e-14 * abs(z0)
         assert abs(grid.value.real - exact) <= grid.error_estimate
-        # cells near the atom stay near-square: (dtheta r) / (du width), with
-        # width 1 and r the radius of the cell centre on the unit disc
-        c = grid.cells
-        r = 0.5 * (c.u0 + c.u1)
-        near = np.abs(r * np.exp(0.5j * (c.t0 + c.t1)) - z0) < 1e-2
-        aspect = (c.t1 - c.t0)[near] * r[near] / (c.u1 - c.u0)[near]
-        assert 0.05 <= aspect.min() and aspect.max() <= 20
+        # the Duffy box around the atom is near-square: (h_theta r) / (h_u
+        # width), with width 1 and r = u of the apex on the unit disc
+        (theta, u, h_theta, h_u), = _duffy_boxes(grid)
+        assert abs(u * cmath.exp(1j * theta) - z0) < 1e-12
+        aspect = h_theta * u / h_u
+        assert 0.05 <= aspect <= 20
 
 
 def test_atom_on_theta_edge(unit_disc):
@@ -317,3 +313,158 @@ def test_atom_on_theta_edge(unit_disc):
         # exact: int_0^2pi R(t)^0.8 dt / 0.8 (mpmath), R(t) as in test_atom_off_center
         err = abs(grid.value.real - 7.680510302551679)
         assert err <= grid.error_estimate <= 1e-10 * grid.value.real
+
+
+def _duffy_boxes(grid):
+    """(theta, u, h_theta, h_u) of each Duffy box of a grid: its apex and the
+    half-sides of the box that its triangles (A, P - A, P' - P) tile."""
+    d = grid.cells.duffy
+    d = d[~np.isnan(d[:, 0])]
+    boxes = []
+    for apex in np.unique(d[:, :2], axis=0):
+        m = np.all(d[:, :2] == apex, axis=1)
+        h_theta = np.max(np.abs([d[m, 2], d[m, 2] + d[m, 4]]))
+        h_u = np.max(np.abs([d[m, 3], d[m, 3] + d[m, 5]]))
+        boxes.append((apex[0], apex[1], h_theta, h_u))
+    return boxes
+
+
+def _count_engine_cells(monkeypatch):
+    """The cell count of every engine run from here on."""
+    counts = []
+    run = quad._Engine.run
+
+    def record(self):
+        out = run(self)
+        counts.append(len(self.t0))
+        return out
+
+    monkeypatch.setattr(quad._Engine, "run", record)
+    return counts
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.4, 1.9])
+def test_lone_duffy_cell_is_exact(unit_disc, alpha):
+    """The rule of one Duffy triangle integrates s^(1 - a) s^j t^k exactly
+    for j, k < 2q: the Jacobian r width s |det| is undone by g, which reads
+    (t, s) back off each node of the unit disc, where r = u and width = 1."""
+    q = 8
+    apex, d1, d2 = (1.0, 0.5), (0.4, 0.2), (-0.4, 0.0)
+    det = abs(d1[0] * d2[1] - d1[1] * d2[0])
+    # (theta, u) - A = [d1 d2] (s, s t)
+    inv = np.linalg.inv(np.array([[d1[0], d2[0]], [d1[1], d2[1]]]))
+    cell = (np.zeros(1), np.ones(1), np.zeros(1), np.ones(1), np.zeros(1, dtype=np.int64),
+            np.full(1, 1.0 - alpha), np.array([apex + d1 + d2]))
+    for j, k in ((0, 0), (2 * q - 1, 0), (0, 2 * q - 1), (3, 5), (2 * q - 1, 2 * q - 1)):
+
+        def g(z, j=j, k=k):
+            dt, du = np.angle(z) - apex[0], np.abs(z) - apex[1]
+            s = inv[0, 0] * dt + inv[0, 1] * du
+            t = (inv[1, 0] * dt + inv[1, 1] * du) / s
+            return s ** (j - alpha) * t**k / (np.abs(z) * det)
+
+        eng = quad._Engine(unit_disc, g, (), 1e-10, q, 100)
+        got = eng._rule(*cell)[0]
+        assert got.real == pytest.approx(1 / ((2 - alpha + j) * (k + 1)), rel=1e-13)
+
+
+def test_weighted_norm_sq_takes_exact_atom_orders(unit_disc, monkeypatch):
+    """weighted_norm_sq pairs each atom with its Lelong number: the centred
+    atom of order 1.5 needs no more cells than integrate given (0, 1.5), and
+    an off-centre atom meets its 1-D reference."""
+    counts = _count_engine_cells(monkeypatch)
+    v, e = weighted_norm_sq(ONE, unit_disc, LogPotential([(0j, 1.5)]), 1e-8)
+    assert abs(v - 4 * math.pi) <= e <= 1e-8
+    assert counts == [counts[0]] and counts[0] <= 40
+    z0 = 0.5 * cmath.exp(0.7j)
+    v, e = weighted_norm_sq(ONE, unit_disc, LogPotential([(z0, 1.3)]), 1e-9)
+    # int_0^2pi R(t)^0.7 dt / 0.7 (mpmath), R(t) as in test_atom_off_center
+    assert abs(v - 8.4263349702494712) <= e <= 1e-9
+
+
+def test_estimate_floored_at_rounding(unit_disc):
+    """A rule exact on the integrand still reports the rounding of its sum."""
+    v, e = integrate(unit_disc, lambda z: np.abs(z) ** 4, (), 1e-10, rule_order=12)
+    assert e >= abs(v - math.pi / 3)
+    v, e = integrate(unit_disc, ONE, (), 1e-10)
+    assert e > 0.0
+
+
+@pytest.mark.parametrize(
+    "alpha, exact",
+    # int_0^2pi R(t)^(2-a) dt / (2-a) (mpmath), R(t) as in test_atom_off_center
+    [(1.0, 6.1393338596929962), (1.4, 10.268498033270245), (1.9, 62.551361596108133)],
+)
+def test_atom_near_theta_edge_takes_duffy_box(unit_disc, alpha, exact):
+    """An atom 1e-9 rad from the movable initial edge pi / 4: the edge gives
+    way to the box, which stays near-square, and the grid meets its tol."""
+    z0 = 0.3 * cmath.exp(1j * (0.25 * math.pi + 1e-9))
+    grid = build_grid(unit_disc, lambda z: np.abs(z - z0) ** -alpha, ((z0, alpha),), 1e-10)
+    assert abs(grid.value.real - exact) <= grid.error_estimate <= 1e-10 * grid.value.real
+    (theta, u, h_theta, h_u), = _duffy_boxes(grid)
+    assert 0.05 <= h_theta * u / h_u <= 20 and h_theta > 0.1
+    assert grid.n_cells <= 400
+
+
+def test_offcenter_atom_converges_at_tight_tol(unit_disc):
+    """The order-1.4 atom that used to refine to 100,000 cells at tol 1e-12,
+    bounded by an excluded core, is integrated to its tol in few cells."""
+    z0 = 0.3 + 0.2j
+    w = LogPotential([(z0, 1.4)])
+    grid = build_grid(unit_disc, lambda z: weight_factor(w, z), w.quadrature_singularities(), 1e-12)
+    # exact as in test_atom_off_center
+    assert abs(grid.value.real - 10.174235467232133) <= grid.error_estimate
+    assert grid.error_estimate <= 1e-12 * grid.value.real
+    assert grid.n_cells <= 2000
+
+
+@pytest.mark.parametrize(
+    "points, alphas, exact",
+    # 2-D mpmath at 20 digits: each half of the disc cut by the perpendicular
+    # bisector of the atoms, in polar coordinates about its own atom
+    [
+        ((0.3 + 0j, 0.6 + 0j), (1.2, 0.6), 12.996522384370866),
+        ((0.4 + 0.1j, 0.4 + 0.1j + 1e-3 * cmath.exp(0.5j)), (1.0, 0.6), 14.705594074398881),
+    ],
+)
+def test_two_atoms_get_disjoint_boxes(unit_disc, points, alphas, exact):
+    """Two atoms on one ray (the disc's first theta edge), and two atoms 1e-3
+    apart: each is the apex of its own box, the boxes are disjoint, and the
+    product of the two powers meets its reference within the estimate."""
+
+    def g(z):
+        return np.abs(z - points[0]) ** -alphas[0] * np.abs(z - points[1]) ** -alphas[1]
+
+    grid = build_grid(unit_disc, g, tuple(zip(points, alphas)), 1e-10)
+    assert abs(grid.value.real - exact) <= grid.error_estimate <= 1e-10 * grid.value.real
+    (t1, u1, ht1, hu1), (t2, u2, ht2, hu2) = _duffy_boxes(grid)
+    apexes = [u * cmath.exp(1j * t) for t, u in ((t1, u1), (t2, u2))]
+    assert all(min(abs(a - p) for a in apexes) < 1e-14 for p in points)
+    dt = abs((t1 - t2 + math.pi) % (2 * math.pi) - math.pi)
+    assert dt >= ht1 + ht2 or abs(u1 - u2) >= hu1 + hu2
+    assert grid.n_cells <= 1000
+
+
+def test_sampled_order_off_center(unit_disc):
+    """An off-centre point given without its order gets the Duffy box at its
+    sampled order and meets the 1-D reference."""
+    z0 = -0.35 + 0.45j
+    v, e = integrate(unit_disc, lambda z: np.abs(z - z0) ** -1.5, (z0,), 1e-9)
+    # int_0^2pi R(t)^0.5 dt / 0.5 (mpmath), R(t) as in test_atom_off_center
+    assert abs(v.real - 11.700863899987847) <= e <= 1e-9
+
+
+def test_duffy_cells_stop_at_split_floor(unit_disc):
+    """Given too low an order (1.4 for a 1.9 singularity), the Gauss-Jacobi
+    rule at the apex is not exact and the cells there refine toward it; they
+    stop where their reach from the apex would fall below 1e-13 |z0|, so no
+    node comes near the atom, and the estimate shows the shortfall."""
+    z0 = 0.3 + 0.2j
+
+    def g(z):
+        return np.abs(z - z0) ** -1.4 + np.abs(z - z0) ** -1.9
+
+    grid = build_grid(unit_disc, g, ((z0, 1.4),), 1e-6, max_cells=3000)
+    assert grid.n_cells < 3000
+    assert np.min(np.abs(grid.nodes - z0)) > 1e-15 * abs(z0)
+    assert grid.error_estimate > 1e-6 * grid.value.real
