@@ -223,7 +223,8 @@ def best_poly_approx(
     squares on the basis Q ((z - p)/s)^k, so nothing is divided by Q. This
     is the factor-out trick for weights with an atom of mass >= 2 at a zero
     of Q, where only multiples of Q have finite norm. The returned polynomial
-    is Q * P in that case and distances refer to ||f - Q P||.
+    is Q * P in that case and distances refer to ||f - Q P||. Atoms of mass
+    below 2 are integrated at their Lelong numbers on this route too.
     """
     return _best_approx(
         (f,), domain, w, p, s, n, tol, f_singularities, divisor_Q, rule_order, max_cells
@@ -235,10 +236,7 @@ def _best_approx(fs, domain, w, p, s, n, tol, f_singularities, divisor_Q, rule_o
     p, s = _resolve_ps(domain, p, s)
     if divisor_Q is None:
         _check_weight(domain, w)
-        singular = quadrature_points(w, f_singularities)
-    else:
-        # |Q|^2 cancels part of an atom at a zero of Q, so orders are sampled
-        singular = tuple(w.quadrature_singularities()) + tuple(f_singularities)
+    singular = quadrature_points(w, f_singularities)
     grid = _scan_grid(domain, w, p, s, n, fs, singular, tol, rule_order, max_cells, divisor_Q)
     Rb = _blocked_lsq(grid, w, p, s, n, fs, divisor_Q)
     R, C = Rb[: n + 1, : n + 1], Rb[:, n + 1 :]

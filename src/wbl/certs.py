@@ -27,7 +27,7 @@ from .errors import (
 )
 from .geometry import ArcRegion, Disc, Moon, TruncatedPlane, boundary_distance, contains
 from .quad import integrate, integrate_1d, truncation_tail, weighted_norm_sq
-from .weights import ImAbsPlusPower
+from .weights import ImAbsPlusPower, LogPotential, quadrature_points
 
 LOG4 = math.log(4.0)
 
@@ -160,23 +160,21 @@ def potential_mass_bound(alphas, points, A, tol: float = 1e-8, **kw) -> Potentia
     Lebesgue measure, 2 pi R^(2-a)/(2-a). Only the sharp bound is asserted;
     both are reported.
     """
-    alphas = [float(a) for a in alphas]
-    points = [complex(zi) for zi in points]
-    if any(a <= 0 for a in alphas):
-        raise InvalidParameters("all singularity masses must be positive")
-    total = sum(alphas)
+    if len(alphas) != len(points):
+        raise InvalidParameters(f"{len(alphas)} masses for {len(points)} points")
+    # LogPotential rejects a mass <= 0 and gives each point its order
+    w = LogPotential(tuple(zip(points, alphas)))
+    total = sum(a for _, a in w.atoms)
     if total >= 2.0:
         raise MassTooLarge(f"total mass {total} is >= 2, the potential is not integrable")
 
     def g(z):
         acc = np.ones(z.shape)
-        for zi, ai in zip(points, alphas):
+        for zi, ai in w.atoms:
             acc = acc * np.abs(z - zi) ** (-ai)
         return acc
 
-    # the exact order of g at each point is the summed mass of the points there
-    orders = tuple((zi, sum(a for zj, a in zip(points, alphas) if zj == zi)) for zi in points)
-    value, err = integrate(A, g, orders, tol, **kw)
+    value, err = integrate(A, g, quadrature_points(w), tol, **kw)
     integral = value.real
     R = math.sqrt(_domain_area(A) / math.pi)
     radial_bound = R ** (2.0 - total) / (2.0 - total)

@@ -77,16 +77,14 @@ def _run_density_scan(args, out: Path) -> None:
     cfg = ExperimentConfig.from_dict(_load_doc(args.config))
     q = cfg.quad
     tol = args.tol if args.tol is not None else q.tol
-    f, singular = cfg.target()
     scan = density_scan(
-        f,
+        cfg.target(),
         cfg.domain,
         cfg.weight,
         cfg.p,
         cfg.s,
         cfg.N_max,
         tol,
-        singular,
         rule_order=q.rule_order,
         max_cells=q.max_cells,
     )
@@ -172,7 +170,10 @@ def _run_poisson_check(args, out: Path) -> None:
     import numpy as np
 
     from .certs import poisson_bounds_check
+    from .config import ConfigError
 
+    if args.samples < 1:
+        raise ConfigError(f"--samples must be >= 1, got {args.samples}")
     radii = np.exp(np.linspace(np.log(1e-3), np.log(1e3), args.samples))
     angles = 0.1 + 0.8 * np.arange(args.samples) % 1.0
     samples = [

@@ -100,11 +100,12 @@ def weight_from_record(rec) -> object:
 
 
 def target_from_tag(tag: str, domain):
-    """Builtin target function and its singular points, from a tag string."""
+    """Builtin target function from a tag string. inv-sqrt's branch point 0
+    needs no quadrature point: it starts the cut ray that misses the domain."""
     if tag == "one":
-        return (lambda z: np.ones(np.shape(z), dtype=complex)), ()
+        return lambda z: np.ones(np.shape(z), dtype=complex)
     if tag == "cos-half":
-        return (lambda z: np.cos(0.5 * np.asarray(z, dtype=complex))), ()
+        return lambda z: np.cos(0.5 * np.asarray(z, dtype=complex))
     if tag.startswith("monomial:"):
         try:
             k = int(tag.split(":", 1)[1])
@@ -112,19 +113,19 @@ def target_from_tag(tag: str, domain):
             raise ConfigError(f"bad monomial degree in target {tag!r}") from None
         if k < 0:
             raise ConfigError(f"monomial degree must be >= 0 in {tag!r}")
-        return (lambda z: np.asarray(z, dtype=complex) ** k), ()
+        return lambda z: np.asarray(z, dtype=complex) ** k
     if tag.startswith("pole:"):
         parts = tag.split(":", 1)[1].split(",")
         try:
             a = complex(float(parts[0]), float(parts[1]) if len(parts) > 1 else 0.0)
         except ValueError:
             raise ConfigError(f"bad pole location in target {tag!r}") from None
-        return (lambda z: 1.0 / (np.asarray(z, dtype=complex) - a)), ()
+        return lambda z: 1.0 / (np.asarray(z, dtype=complex) - a)
     if tag == "inv-sqrt":
         from .moon import make_branch_spec
 
         spec = make_branch_spec(domain)
-        return (lambda z: 1.0 / spec.sqrt(z)), (0j,)
+        return lambda z: 1.0 / spec.sqrt(z)
     raise ConfigError(f"unknown target tag {tag!r}")
 
 

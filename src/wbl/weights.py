@@ -281,12 +281,13 @@ def lelong_number(w: Weight, x: complex) -> float:
 
 
 def quadrature_points(w: Weight, f_singularities=()):
-    """The weight's singular points, then the targets'. Each weight atom that
-    is not a target singularity is paired with its Lelong number, the exact
-    order of e^(-phi) there; quadrature samples the order of the others."""
+    """The weight's singular points, then the targets'. Each atom of mass nu < 2
+    that is not a target singularity is paired with nu, the exact order there
+    of e^(-phi) times any smooth factor; quadrature samples the order of the
+    others, such as an atom of mass >= 2 that a divisor's zero partly cancels."""
     targets = {complex(p[0] if isinstance(p, tuple) else p) for p in f_singularities}
     try:
-        atoms = {complex(zi) for zi, _ in w.riesz_atoms()} - targets
+        atoms = {complex(zi) for zi, _ in w.riesz_atoms() if w.lelong(zi) < 2.0} - targets
     except UnsupportedMeasure:
         atoms = set()
     pts = tuple((zi, w.lelong(zi)) if zi in atoms else zi for zi in w.quadrature_singularities())

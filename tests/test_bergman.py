@@ -69,11 +69,10 @@ def test_gram_and_scan_offcenter_atom(unit_disc):
     assert scan.approx.error_budget <= 1e-8
 
 
-def test_gram_offcenter_atom_at_ladder_floor(unit_disc):
-    # the core bound at the ladder floor exceeds the tol share; it is reported
+def test_gram_offcenter_atom_order_1_4(unit_disc):
     g = gram_matrix(unit_disc, LogPotential([(0.3 + 0.2j, 1.4)]), N=3)
     g00 = g.matrix[0, 0].real
-    assert abs(g00 - OFFCENTER_G00[1.4]) <= g.error_budget <= 1e-7 * g00
+    assert abs(g00 - OFFCENTER_G00[1.4]) <= g.error_budget <= 1e-10 * g00
 
 
 def test_gram_moon_monte_carlo_oracle(unit_moon):
@@ -223,6 +222,36 @@ def test_divisor_evaluated_once_per_node_array(unit_disc, monkeypatch):
     zs = [z for _, z in arrays]
     assert zs and all(a is not b for a, b in zip(zs, zs[1:]))
     assert sum(len(z) for lsq, z in arrays if lsq) == len(grids[0].nodes)
+
+
+def test_jet_centred_atom_at_its_lelong_number(unit_disc, monkeypatch):
+    """The jet route integrates the atom at its exact order: its few-cell
+    grid meets the closed form. Under |z|^-alpha the monomials are orthogonal
+    with norms g_j = 2 pi / (2j + 2 - alpha), so with f_j = -a^-(j+1) the
+    Taylor coefficients of 1/(z - a) and c_j the pinned jet,
+    d_m^2 = sum_{j<k} |c_j - f_j|^2 g_j + sum_{j>m} |f_j|^2 g_j."""
+    grids = []
+    build_grid = bergman.build_grid
+
+    def capture(*args):
+        grids.append(build_grid(*args))
+        return grids[-1]
+
+    monkeypatch.setattr(bergman, "build_grid", capture)
+    a, alpha, n = 1.7 + 0.4j, 1.5, 12
+    js = np.arange(200)
+    f_j = -(a ** -(js + 1.0))
+    g_j = 2 * math.pi / (2 * js + 2 - alpha)
+    jet = (1.3 * f_j[0],)
+    r = best_poly_approx_with_jet(
+        pole_target(a), unit_disc, LogPotential([(0j, alpha)]), 0j, 1.0, n, jet=jet, tol=1e-10
+    )
+    k = len(jet)
+    pinned = sum(abs(jet[j] - f_j[j]) ** 2 * g_j[j] for j in range(k))
+    tails = np.cumsum((np.abs(f_j) ** 2 * g_j)[::-1])[::-1]
+    oracle = np.sqrt(pinned + tails[k : n + 2])
+    assert np.max(np.abs(r.distances[k - 1 :] - oracle) / oracle) <= 1e-10
+    assert len(grids) == 1 and grids[0].n_cells <= 48
 
 
 def test_jet_inactive_constraint(unit_disc):

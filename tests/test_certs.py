@@ -131,6 +131,12 @@ def test_potential_mass_too_large():
         potential_mass_bound([1.5, 0.6], [0j, 1 + 0j], Disc(0j, 1.0))
 
 
+@pytest.mark.parametrize("alphas, points", [([0.5, 0.5], [0.5 + 0j]), ([0.5], [0.5 + 0j, 0j])])
+def test_potential_mass_bound_needs_one_mass_per_point(alphas, points):
+    with pytest.raises(InvalidParameters):
+        potential_mass_bound(alphas, points, Disc(0j, 1.0))
+
+
 def test_certificate_frozen_regression():
     """Scalar pipeline values computed by the root-finding oracle and frozen."""
     cert = nondensity_certificate(0.5, 10.0)

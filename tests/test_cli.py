@@ -106,6 +106,16 @@ def test_poisson_check_subcommand(tmp_path):
     assert doc["violations"] == 0 and doc["n_samples"] == 25
 
 
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_poisson_check_rejects_too_few_samples(tmp_path, capsys, samples):
+    """No samples would report an infinite margin as a pass; negative counts
+    crash in numpy. Both are config errors that write no artifact."""
+    rc = main(["poisson-check", "--p", "0.5", "--samples", samples, "--out", str(tmp_path)])
+    assert rc == 1
+    assert "--samples must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "poisson_check.json").exists()
+
+
 def test_potential_check_subcommand(tmp_path):
     cfg = {
         "domain": {"type": "disc", "c": [0, 0], "r": 1},

@@ -18,6 +18,7 @@ from wbl import (
     satisfies_condition_A,
 )
 from wbl.errors import InvalidParameters, OutOfRange, UnboundedWeight, UnsupportedMeasure
+from wbl.weights import quadrature_points
 
 
 def test_evaluate_examples():
@@ -54,6 +55,14 @@ def test_lelong_additive_over_sums(rng):
     s = SumWeight(tuple(parts))
     for z, _ in atoms:
         assert lelong_number(s, z) == pytest.approx(sum(lelong_number(p, z) for p in parts))
+
+
+def test_quadrature_points_order_rule():
+    """An atom of mass below 2 gets its Lelong number; a heavier one, and a
+    target singularity, stay plain points whose order quadrature samples."""
+    w = LogPotential([(0.3, 1.2), (0j, 2.5)])
+    assert quadrature_points(w) == ((0.3, 1.2), 0j)
+    assert quadrature_points(w, (0.3,)) == (0.3, 0j, 0.3)
 
 
 def test_mass_on_disc_examples():
