@@ -302,7 +302,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     from .config import ConfigError
-    from .errors import WblError
+    from .errors import InvalidParameters, OutOfRange, WblError
 
     runner, _ = _RUNNERS[args.cmd]
     out = Path(args.out)
@@ -311,6 +311,9 @@ def main(argv=None) -> int:
         runner(args, out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 1
+    except (InvalidParameters, OutOfRange) as exc:
+        print(f"invalid input: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     except WblError as exc:
         print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)

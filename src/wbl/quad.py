@@ -22,6 +22,16 @@ or bounded. A cell's error estimate is the difference between its value and
 the sum over its 2x2 split. Refinement always processes the worst cells first
 with index ties broken deterministically, and final values are summed in
 creation order, so identical inputs give bit-identical results.
+
+Each refinement round splits up to 512 of the worst cells and values all
+their children, together with each child's own 2x2 split, in one batched rule
+pass, run in chunks of at most _CHUNK nodes so that its temporaries stay
+cache-sized (the batched design of DCUHRE: Berntsen, Espelid & Genz, ACM TOMS
+17(4), 1991). Every cell's value is computed by the same operations as alone,
+so batching changes no bit of the result. Duffy cells stop splitting once
+their reach from the apex would fall below 1e-13 r; when those cells' own
+estimates already sum above the tolerance, no refinement can meet it, and
+the engine stops with the estimate it has.
 """
 
 from __future__ import annotations
@@ -37,6 +47,8 @@ from .errors import NonIntegrableSingularity, ToleranceNotMet, UnsupportedGrowth
 from .weights import ImAbsPlusPower, quadrature_points
 
 TWO_PI = 2.0 * math.pi
+# most nodes valued in one pass, so a round's temporaries stay cache-sized
+_CHUNK = 1 << 14
 
 @functools.lru_cache(maxsize=64)
 def _gauss(order: int, beta: float = 0.0):
@@ -199,8 +211,17 @@ class _Engine:
         jac[tri] *= s * np.abs(p_t * q_u - p_u * q_t)
         return z, jac
 
-    def _rule(self, t0, t1, u0, u1, br, beta, duffy):
-        """Tensor Gauss value of a batch of cells, shape (B,)."""
+    def _rule(self, *cells):
+        """Tensor Gauss value of a batch of cells, shape (B,), evaluated in
+        chunks of at most _CHUNK nodes."""
+        step = max(1, _CHUNK // self.q**2)
+        n = len(cells[0])
+        if n <= step:
+            return self._rule_chunk(*cells)
+        return np.concatenate([self._rule_chunk(*(c[i : i + step] for c in cells))
+                               for i in range(0, n, step)])
+
+    def _rule_chunk(self, t0, t1, u0, u1, br, beta, duffy):
         _, wg = _gauss(self.q)
         xu, wu = self._u_rule(beta)
         z, jac = self._nodes(t0, t1, u0, u1, br, xu, duffy)
@@ -212,22 +233,28 @@ class _Engine:
 
     @staticmethod
     def _children(t0, t1, u0, u1, br, beta, duffy, cut_t=True, cut_u=True):
-        """The 2x2 split of a batch of cells, where a side not cut leaves empty
+        """The 2x2 split of a batch of cells as one batch, child-major: each
+        cell's lower-theta, lower-u quadrant first, then the one above it in
+        u, then the two at higher theta. A side not cut leaves empty
         children. The halves at the lower u edge keep the cell's rule; the
         others take Gauss-Legendre."""
         tm = np.where(cut_t, 0.5 * (t0 + t1), t1)
         um = np.where(cut_u, 0.5 * (u0 + u1), u1)
         gl = np.zeros_like(beta)
-        return [(ta, tb, ua, ub, br, bb, duffy) for ta, tb in ((t0, tm), (tm, t1))
-                for ua, ub, bb in ((u0, um, beta), (um, u1, gl))]
+        quads = [(ta, tb, ua, ub, br, bb, duffy) for ta, tb in ((t0, tm), (tm, t1))
+                 for ua, ub, bb in ((u0, um, beta), (um, u1, gl))]
+        return tuple(np.concatenate(field) for field in zip(*quads))
 
     def _values(self, *cells):
         """Cell values by their 2x2 split, and the split's difference from
-        the single-cell rule as error estimate."""
-        coarse = self._rule(*cells)
+        the single-cell rule as error estimate; the cells and their splits
+        are valued in one _rule pass."""
+        n = len(cells[0])
+        both = (np.concatenate(pair) for pair in zip(cells, self._children(*cells)))
+        coarse, *quads = self._rule(*both).reshape(5, n)
         fine = np.zeros_like(coarse)
-        for child in self._children(*cells):
-            fine = fine + self._rule(*child)
+        for part in quads:
+            fine = fine + part
         return fine, np.abs(fine - coarse)
 
     def _append(self, *cells, values=None):
@@ -429,16 +456,20 @@ class _Engine:
             thresh = 0.5 * tol_eff / max(1, n)
             d = self.duffy
             reach = np.maximum(np.abs(d[:, 2]), np.abs(d[:, 2] + d[:, 4])) * (self.u1 - self.u0)
-            candidates = np.flatnonzero((self.est > thresh) & ~(reach < 2e-13))
+            floored = reach < 2e-13
+            # no refinement brings the total under the floored cells' estimates
+            if float(self.est[floored].sum()) > tol_eff:
+                break
+            candidates = np.flatnonzero((self.est > thresh) & ~floored)
             if candidates.size == 0:
                 break
             order = candidates[np.argsort(-self.est[candidates], kind="stable")]
             sel = order[: min(512, order.size, self.max_cells - n + 1)]
             cells = tuple(getattr(self, name)[sel] for name in _CELL_FIELDS[:7])
             self._drop(sel)
-            for child in self._children(*cells, *(self._cuts(*cells) if boxes else ())):
-                keep = (child[1] > child[0]) & (child[3] > child[2])
-                self._append(*(a[keep] for a in child))
+            children = self._children(*cells, *(self._cuts(*cells) if boxes else ()))
+            keep = (children[1] > children[0]) & (children[3] > children[2])
+            self._append(*(a[keep] for a in children))
 
         # an exact rule's estimate can fall below the rounding of the sum
         err = max(float(self.est.sum()), 4.0 * np.finfo(float).eps * float(np.abs(self.val).sum()))

@@ -174,6 +174,25 @@ def test_numerical_failure_exit_code(tmp_path, capsys):
     assert "DegenerateWeight" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, cfg, error",
+    [
+        (["potential-check"], {"domain": {"type": "disc", "c": [0, 0], "r": 1},
+                               "alphas": [0.5, -0.5], "points": [[0, 0], [0.5, 0]]},
+         "InvalidParameters"),
+        (["certify", "--p", "1.5", "--M", "10"], None, "OutOfRange"),
+    ],
+)
+def test_invalid_input_exit_code(tmp_path, capsys, argv, cfg, error):
+    """Input the library rejects is an input error (exit 1), not a numerical failure."""
+    if cfg is not None:
+        argv = argv + ["--config", write_config(tmp_path, cfg)]
+    rc = main(argv + ["--out", str(tmp_path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("invalid input:") and error in err
+
+
 def test_reruns_are_bit_identical(tmp_path):
     cfg = dict(DISC_SCAN, N_max=6)
     out1, out2 = tmp_path / "a", tmp_path / "b"

@@ -13,6 +13,7 @@ from wbl import (
     TruncatedPlane,
     ZeroWeight,
     build_grid,
+    gram_matrix,
     integrate,
     integrate_1d,
     truncation_tail,
@@ -468,3 +469,79 @@ def test_duffy_cells_stop_at_split_floor(unit_disc):
     assert grid.n_cells < 3000
     assert np.min(np.abs(grid.nodes - z0)) > 1e-15 * abs(z0)
     assert grid.error_estimate > 1e-6 * grid.value.real
+
+
+def _runaway(z):
+    """|z - z0|^-1.9 at z0 = 0.3 + 0.2j, plus the order-1.4 term it is passed as."""
+    return np.abs(z - (0.3 + 0.2j)) ** -1.4 + np.abs(z - (0.3 + 0.2j)) ** -1.9
+
+
+def test_floored_cells_over_tol_stop_refinement(unit_disc, monkeypatch):
+    """Given too low an order, the cells at the apex reach the split floor
+    with estimates that sum above tol, and no refinement can meet it: the
+    engine stops there instead of refining every other cell toward
+    max_cells (100,356 cells and several seconds when it did not)."""
+    counts = _count_engine_cells(monkeypatch)
+    with pytest.raises(ToleranceNotMet) as info:
+        integrate(unit_disc, _runaway, ((0.3 + 0.2j, 1.4),), 1e-6, strict=True)
+    assert counts[0] <= 12_000
+    assert info.value.err > 1e-6
+
+
+def test_rule_batch_is_bitwise_per_cell(unit_disc):
+    """_rule on one batch of plain, Gauss-Jacobi and Duffy cells, more than
+    one chunk, gives bitwise the values of the same cells one at a time:
+    batching a round changes no result."""
+    z0 = 0.4 + 0.3j
+
+    def g(z):
+        return np.abs(z) ** -1.5 * np.abs(z - z0) ** -1.2 * np.cos(3 * z.real)
+
+    eng = quad._Engine(unit_disc, g, ((0j, 1.5), (z0, 1.2)), 1e-9, 8, 100_000)
+    eng.run()
+    cells = tuple(getattr(eng, name) for name in quad._CELL_FIELDS[:7])
+    tri = ~np.isnan(eng.duffy[:, 0])
+    assert tri.any() and (eng.beta[~tri] != 0).any() and (eng.beta[~tri] == 0).any()
+    reps = -(-(quad._CHUNK + 1) // (len(eng.t0) * eng.q**2))
+    cells = tuple(np.concatenate([c] * reps) for c in cells)
+    assert len(cells[0]) * eng.q**2 > quad._CHUNK
+    batch = eng._rule(*cells)
+    one = np.concatenate([eng._rule(*(c[i : i + 1] for c in cells)) for i in range(len(cells[0]))])
+    assert batch.tobytes() == one.tobytes()
+
+
+def test_rule_chunks_stay_under_cap(unit_disc, monkeypatch):
+    """The runaway case's rounds value thousands of cells at once; no chunk
+    of _rule sees more than _CHUNK nodes, and the rounds do take several."""
+    sizes, calls = [], []
+    chunk, rule = quad._Engine._rule_chunk, quad._Engine._rule
+
+    def record_chunk(self, *cells):
+        sizes.append(len(cells[0]) * self.q**2)
+        return chunk(self, *cells)
+
+    def record_rule(self, *cells):
+        calls.append(len(cells[0]))
+        return rule(self, *cells)
+
+    monkeypatch.setattr(quad._Engine, "_rule_chunk", record_chunk)
+    monkeypatch.setattr(quad._Engine, "_rule", record_rule)
+    integrate(unit_disc, _runaway, ((0.3 + 0.2j, 1.4),), 1e-6)
+    assert max(sizes) <= quad._CHUNK
+    assert len(sizes) > len(calls)
+
+
+def test_one_rule_pass_per_values(unit_disc, monkeypatch):
+    """A batch of cells and its 2x2 split are valued in one _rule call, where
+    the per-child passes took five."""
+    counts = {"_rule": 0, "_values": 0}
+    for name in counts:
+        orig = getattr(quad._Engine, name)
+
+        def wrapped(self, *cells, orig=orig, name=name):
+            counts[name] += 1
+            return orig(self, *cells)
+
+        monkeypatch.setattr(quad._Engine, name, wrapped)
+    gram_matrix(unit_disc, LogPotential([(0.3 + 0.2j, 1.2)]), N=3, tol=1e-10)
+    assert counts["_values"] > 0 and counts["_rule"] == counts["_values"]
