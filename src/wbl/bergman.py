@@ -124,16 +124,6 @@ def _scan_grid(domain, w, p, s, N, targets, singular, tol, rule_order, max_cells
     return build_grid(domain, pilot, singular, tol, rule_order, max_cells)
 
 
-def _vander(nodes, p, s, N, Q=None):
-    """Columns Q(z) ((z - p)/s)^k, k = 0..N, with Q = 1 when not given."""
-    zeta = (nodes - p) / s
-    V = np.empty((len(nodes), N + 1), dtype=complex)
-    V[:, 0] = 1.0 if Q is None else Q(nodes)
-    for k in range(1, N + 1):
-        V[:, k] = V[:, k - 1] * zeta
-    return V
-
-
 def _unit_cond(R):
     """Condition number of R with unit-norm columns, free of the scale s."""
     return float(np.linalg.cond(R / np.linalg.norm(R, axis=0)))
@@ -176,11 +166,12 @@ def _blocked_lsq(grid, w, p, s, N, targets, Q=None):
     when one is given. The R-only Householder QR sqrt(w) [A | b_1 .. b_m] =
     U R is taken as a tree, so U is never formed: each leaf of at most _LEAF
     nodes evaluates weight, A and targets on one node slice (so Q meets each
-    node once) and is factored in cache; adjacent factors are stacked and
-    refactored in pairs, an odd one out moving up a level, until one is
-    left. A sequential carry would refactor its full-norm rows once per
-    block, adding that rounding each time; the tree adds it log2(leaves)
-    times. A grid of one leaf gets the single QR.
+    node once) as the contiguous rows of [A | b]^T, which LAPACK takes with a
+    straight copy, and is factored in cache; adjacent factors are stacked and
+    refactored in pairs, an odd one out moving up a level, until one is left.
+    A sequential carry would refactor its full-norm rows once per block,
+    adding that rounding each time; the tree adds it log2(leaves) times. A
+    grid of one leaf gets the single QR.
 
     R = factor[:N+1, :N+1] serves every target; column N + 1 + j holds
     U^H b_j in rows 0..N, then its projections on the earlier targets'
@@ -193,8 +184,15 @@ def _blocked_lsq(grid, w, p, s, N, targets, Q=None):
     for lo in range(0, len(grid.nodes), _LEAF):
         nodes = grid.nodes[lo : lo + _LEAF]
         sqw = np.sqrt(grid.weights[lo : lo + _LEAF] * weight_factor(w, nodes))
-        Ab = np.column_stack([_vander(nodes, p, s, N, Q)] + [f(nodes) for f in targets])
-        factors.append(np.linalg.qr(Ab * sqw[:, None], mode="r"))
+        zeta = (nodes - p) / s
+        T = np.empty((N + 1 + len(targets), len(nodes)), dtype=complex)
+        T[0] = 1.0 if Q is None else Q(nodes)
+        for k in range(1, N + 1):
+            np.multiply(T[k - 1], zeta, out=T[k])
+        for j, f in enumerate(targets, N + 1):
+            T[j] = f(nodes)
+        T *= sqw
+        factors.append(np.linalg.qr(T.T, mode="r"))
     while len(factors) > 1:
         paired = [
             np.linalg.qr(np.vstack(factors[i : i + 2]), mode="r")

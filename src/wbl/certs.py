@@ -194,7 +194,8 @@ class NonDensityCertificate:
     norm with exponent p and norm budget M >= 1 + ||cos(z/2)|| satisfies
     ||cos(z/2) - P||^2 >= epsilon0_sq, hence the infimum over all polynomials
     is >= min(1, epsilon0_sq) > 0. log_epsilon0_sq is its natural log, which
-    stays finite where epsilon0_sq underflows to 0.0 (p = 0.7, M = 10).
+    stays finite where epsilon0_sq underflows to 0.0 (p = 0.7, M = 10);
+    underflow flags that case, in which only the log carries the floor.
     """
 
     p: float
@@ -205,6 +206,7 @@ class NonDensityCertificate:
     epsilon0_sq: float
     gap_samples: int
     log_epsilon0_sq: float
+    underflow: bool
 
     def gap(self, r):
         """r/4 - log(1 + 4 exp(C_1 + C_p r^p)); positive for all r >= Y."""
@@ -282,7 +284,7 @@ def nondensity_certificate(p: float, M: float) -> NonDensityCertificate:
     log_eps = float(min(0.0, math.log(math.pi / 3.0) + exponent))
     return NonDensityCertificate(
         p=p, M=M, C_p=c_p, C_1=c_1, Y=y, epsilon0_sq=eps, gap_samples=len(check),
-        log_epsilon0_sq=log_eps,
+        log_epsilon0_sq=log_eps, underflow=eps == 0.0 and math.isfinite(log_eps),
     )
 
 

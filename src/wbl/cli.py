@@ -6,8 +6,9 @@ Subcommands map to the experiment families: `gram`, `density-scan`,
 reports, every file embedding the resolved config; reruns with identical
 configs are bit-identical (no timestamps, sorted keys, repr floats).
 
-Exit codes: 0 success, 1 invalid config, 2 numerical failure. Heuristic
-verdicts are advisory text and never affect the exit code.
+Exit codes: 0 success, 1 invalid config or input, 2 numerical failure (also
+a certificate whose floor underflowed, after its artifact is written).
+Heuristic verdicts are advisory text and never affect the exit code.
 """
 
 from __future__ import annotations
@@ -126,6 +127,7 @@ def _run_certify(args, out: Path) -> None:
         poisson_bounds_check,
         potential_mass_bound,
     )
+    from .errors import Underflow
     from .geometry import Disc
 
     p = args.p
@@ -146,6 +148,7 @@ def _run_certify(args, out: Path) -> None:
         "Y": cert.Y,
         "epsilon0_sq": cert.epsilon0_sq,
         "log_epsilon0_sq": cert.log_epsilon0_sq,
+        "underflow": cert.underflow,
         "checks": {
             "gap_samples": cert.gap_samples,
             "poisson": {
@@ -164,6 +167,10 @@ def _run_certify(args, out: Path) -> None:
     if enclosure is not None:
         doc["norm_enclosure"] = enclosure
     _write_json(out / "certificate.json", doc)
+    if cert.underflow:
+        raise Underflow(
+            f"epsilon0_sq underflowed to 0.0; log_epsilon0_sq = {cert.log_epsilon0_sq!r}"
+        )
 
 
 def _run_poisson_check(args, out: Path) -> None:

@@ -75,6 +75,10 @@ class MassTooLarge(WblError):
     """Total singularity mass is >= 2, so the potential is not integrable."""
 
 
+class Underflow(WblError):
+    """A reported positive floor underflowed to 0.0 while its log stays finite."""
+
+
 class NoValidY(WblError):
     """The gap inequality has no verified threshold below the search cap."""
 

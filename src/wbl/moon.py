@@ -17,8 +17,8 @@ import numpy as np
 
 # density_scan stays importable here: perfbench/tracing.py patches wbl.moon.density_scan
 from .bergman import _density_scans, density_scan  # noqa: F401
-from .errors import CutIntersectsDomain, InvalidParameters
-from .geometry import TWO_PI, ArcRegion, ArcStage, Moon
+from .errors import CutIntersectsDomain, InvalidParameters, ToleranceNotMet
+from .geometry import ArcRegion, ArcStage, Moon
 from .quad import integrate, weight_factor
 from .weights import Polynomial, quadrature_points
 
@@ -28,7 +28,9 @@ class BranchSpec:
     """Branch of sqrt(z) continuous on a domain avoided by a straight cut ray.
 
     The cut is the ray {t * direction : t >= 0}; arguments are taken in the
-    window (theta_cut, theta_cut + 2 pi).
+    window (theta_cut, theta_cut + 2 pi). With d = direction and phi = (arg z
+    - theta_cut) mod 2 pi, the principal sqrt of -z conj(d) has argument
+    (phi - pi)/2, so sqrt(z) = i e^(i theta_cut/2) sqrt(-z conj(d)).
     """
 
     direction: complex
@@ -45,8 +47,7 @@ class BranchSpec:
 
     def sqrt(self, z):
         z = np.asarray(z, dtype=complex)
-        arg = self.theta_cut + (np.angle(z) - self.theta_cut) % TWO_PI
-        return np.sqrt(np.abs(z)) * np.exp(0.5j * arg)
+        return 1j * np.exp(0.5j * self.theta_cut) * np.sqrt(z * -self.direction.conjugate())
 
 
 def make_branch_spec(domain, direction=None, n_samples: int = 4096) -> BranchSpec:
@@ -192,13 +193,17 @@ def strip_budget_search(k: int, alphas, P: Polynomial, w, target: float | None =
 
     The default budget is 1/2^(k+1). Strip integrals use the principal branch
     (the strip straddles the positive axis, so the ray cut must lie on the
-    negative axis). Returns (alpha_k, integral, err).
+    negative axis). Returns (alpha_k, integral, err). Raises ToleranceNotMet,
+    with the last trial's integral and err, when no alpha above alpha_floor
+    meets the budget, and InvalidParameters when alpha_k starts at or below it.
     """
     if target is None:
         target = 0.5 ** (k + 1)
     spec = BranchSpec(-1.0 + 0j)
     alphas = [float(a) for a in alphas]
     alpha = alphas[k - 1]
+    if not alpha > alpha_floor:
+        raise InvalidParameters(f"alpha_{k} = {alpha} is not above the floor {alpha_floor}")
 
     def strip_error(region):
         def g(z):
@@ -214,6 +219,6 @@ def strip_budget_search(k: int, alphas, P: Polynomial, w, target: float | None =
         if val + err < target:
             return alpha, val, err
         alpha *= 0.5
-    raise InvalidParameters(
-        f"no alpha above {alpha_floor} meets the strip budget {target:.3e}"
+    raise ToleranceNotMet(
+        f"no alpha above {alpha_floor} meets the strip budget {target:.3e}", val, err
     )

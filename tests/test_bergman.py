@@ -468,6 +468,46 @@ def test_second_target_column_matches_one_column_factor(unit_disc, monkeypatch, 
     assert two_norm == pytest.approx(one_norm, rel=1e-12)
 
 
+@pytest.mark.parametrize("leaves", [1, 3])
+def test_transposed_assembly_is_bit_identical_to_columnwise(unit_disc, monkeypatch, leaves):
+    """Leaves built row by row as [A | b]^T give, bit for bit, the R of the
+    columnwise np.column_stack assembly: the same products in the same order."""
+    w = LogPotential([(0.2 + 0.1j, 1.5)])
+    p, s, N = 0.1 - 0.2j, 1.3, 12
+    Q = Polynomial((0.3, -1.0, 0.5j), p, s)
+    targets = (pole_target(2.0), pole_target(1.5j))
+    grid = bergman._scan_grid(
+        unit_disc, w, p, s, N, targets, w.quadrature_singularities(), 1e-10, 12, 100_000, Q
+    )
+    leaf = -(-len(grid.nodes) // leaves)
+    assert -(-len(grid.nodes) // leaf) == leaves
+
+    def columnwise():
+        factors = []
+        for lo in range(0, len(grid.nodes), leaf):
+            nodes = grid.nodes[lo : lo + leaf]
+            sqw = np.sqrt(grid.weights[lo : lo + leaf] * weight_factor(w, nodes))
+            zeta = (nodes - p) / s
+            V = np.empty((len(nodes), N + 1), dtype=complex)
+            V[:, 0] = Q(nodes)
+            for k in range(1, N + 1):
+                V[:, k] = V[:, k - 1] * zeta
+            Ab = np.column_stack([V] + [f(nodes) for f in targets])
+            factors.append(np.linalg.qr(Ab * sqw[:, None], mode="r"))
+        while len(factors) > 1:
+            paired = [
+                np.linalg.qr(np.vstack(factors[i : i + 2]), mode="r")
+                for i in range(0, len(factors) - 1, 2)
+            ]
+            factors = paired + factors[2 * len(paired) :]
+        return factors[0]
+
+    monkeypatch.setattr(bergman, "_LEAF", leaf)
+    got = bergman._blocked_lsq(grid, w, p, s, N, targets, Q)
+    assert got.shape == (N + 3, N + 3)
+    assert np.array_equal(got, columnwise())
+
+
 @pytest.mark.parametrize("N", [0, 1, 3, 20, 40])
 def test_pilot_clamp_is_bit_exact(unit_disc, monkeypatch, N):
     """The grid pilot clamps |z - p|/s from below; its values stay those of

@@ -72,6 +72,22 @@ def test_certify_formula_values(tmp_path):
     assert doc["checks"]["gap_samples"] == 10000
 
 
+@pytest.mark.parametrize("argv, rc, underflow", [
+    (["--p", "0.7", "--M", "10"], 2, True),
+    (["--p", "0.5", "--R", "40"], 0, False),
+])
+def test_certify_flags_underflow(tmp_path, capsys, argv, rc, underflow):
+    """A floor that underflows to 0.0 is written with its flag and its finite
+    log, then reported as a numerical failure."""
+    assert main(["certify"] + argv + ["--out", str(tmp_path)]) == rc
+    doc = json.loads((tmp_path / "certificate.json").read_text())
+    assert doc["underflow"] is underflow
+    assert (doc["epsilon0_sq"] == 0.0) is underflow
+    assert math.isfinite(doc["log_epsilon0_sq"])
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: Underflow") if underflow else err == ""
+
+
 @pytest.mark.parametrize("argv", [["certify", "--M", "10"], ["poisson-check"]])
 def test_config_rejected_where_unread(tmp_path, argv):
     """Only the subcommands that read a config accept --config."""
@@ -144,6 +160,19 @@ def test_moon_stage_subcommand(tmp_path):
     doc = json.loads((tmp_path / "moon_stage.json").read_text())
     assert doc["strip_integral"] + doc["strip_err"] < doc["budget"]
     assert 0 < doc["alpha_k"] <= 0.1
+
+
+def test_moon_stage_failed_search_exit_code(tmp_path, capsys, monkeypatch):
+    """A strip search that finds no alpha meeting its budget is a numerical
+    failure (exit 2), not invalid input, and writes no artifact."""
+    import wbl.moon
+
+    monkeypatch.setattr(wbl.moon, "integrate", lambda *args, **kw: (1.0 + 0j, 0.0))
+    cfg = {"k": 1, "alphas": [0.1], "weight": {"type": "zero"}, "N_max": 4}
+    rc = main(["moon-stage", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("numerical failure: ToleranceNotMet")
+    assert not (tmp_path / "moon_stage.json").exists()
 
 
 def test_unknown_field_rejected(tmp_path, capsys):

@@ -20,9 +20,9 @@ from wbl import (
     parity_split,
     strip_budget_search,
 )
-from wbl import bergman
+from wbl import bergman, moon
 from wbl.quad import weight_factor
-from wbl.errors import CutIntersectsDomain, InvalidParameters
+from wbl.errors import CutIntersectsDomain, InvalidParameters, ToleranceNotMet
 
 
 def test_branch_values(unit_moon):
@@ -30,6 +30,33 @@ def test_branch_values(unit_moon):
     assert spec.direction == pytest.approx(1.0)
     assert branch_sqrt(unit_moon, spec, -1 + 0j) == pytest.approx(1j, abs=1e-15)
     assert branch_sqrt(unit_moon, spec, -0.25 + 0j) == pytest.approx(0.5j, abs=1e-15)
+
+
+CUT_DIRECTIONS = [np.exp(1j * t) for t in (0.0, 0.3, 1.0, math.pi / 2, 2.5)] + [-1.0, -1j, -1 - 1j]
+
+
+@pytest.mark.parametrize("direction", CUT_DIRECTIONS)
+def test_branch_matches_angle_formula(direction):
+    """One complex sqrt gives sqrt|z| e^(i arg/2) with arg in the cut's window."""
+    spec = BranchSpec(direction)
+    rng = np.random.default_rng(7)
+    z = (rng.normal(size=2000) + 1j * rng.normal(size=2000)) * np.exp(rng.uniform(-8, 8, 2000))
+    th = spec.theta_cut
+    want = np.sqrt(np.abs(z)) * np.exp(0.5j * (th + (np.angle(z) - th) % (2 * math.pi)))
+    assert np.max(np.abs(spec.sqrt(z) - want) / np.abs(want)) <= 2e-15
+
+
+@pytest.mark.parametrize("direction", CUT_DIRECTIONS)
+def test_branch_argument_window_at_the_cut(direction):
+    """1e-9 rad on either side of the cut the argument stays in
+    [theta_cut/2, theta_cut/2 + pi): the branch jumps only across the ray."""
+    spec = BranchSpec(direction)
+    th = spec.theta_cut
+    r = np.array([1e-3, 0.7, 1.0, 40.0])
+    for side in (1e-9, -1e-9):
+        rel = (np.angle(spec.sqrt(r * np.exp(1j * (th + side)))) - th / 2) % (2 * math.pi)
+        assert bool(np.all(rel < math.pi))
+        assert bool(np.all(np.abs(rel - (0.0 if side > 0 else math.pi)) < 1e-9))
 
 
 def test_branch_squares_back(unit_moon):
@@ -227,6 +254,31 @@ def test_strip_budget_search_meets_target():
 
     v, e = integrate(strip, g, (), 1e-5, rule_order=12)
     assert v.real < 0.25
+
+
+def test_strip_budget_search_failure_is_tolerance_not_met(monkeypatch):
+    """A search that runs out of alphas is a numerical failure carrying the
+    last trial's value, not invalid input: alpha 0.2 and 0.1 are tried, 0.05
+    is at the floor."""
+    calls = []
+    integrate_ = moon.integrate
+
+    def counting(*args, **kw):
+        calls.append(integrate_(*args, **kw))
+        return calls[-1]
+
+    monkeypatch.setattr(moon, "integrate", counting)
+    P = Polynomial((1.0, -0.5), 0j, 1.0)
+    with pytest.raises(ToleranceNotMet) as info:
+        strip_budget_search(1, [0.2], P, ZeroWeight(), target=1e-30, alpha_floor=0.05)
+    assert len(calls) == 2
+    val, err = calls[-1]
+    assert (info.value.value, info.value.err) == (val.real, err)
+    assert val.real > 1e-30
+    # an alpha_k already at the floor is bad input: no search was possible
+    with pytest.raises(InvalidParameters):
+        strip_budget_search(1, [0.05], P, ZeroWeight(), target=1e-30, alpha_floor=0.05)
+    assert len(calls) == 2
 
 
 def test_example_stage_with_condition_a_weight():
