@@ -195,12 +195,15 @@ def strip_budget_search(k: int, alphas, P: Polynomial, w, target: float | None =
     (the strip straddles the positive axis, so the ray cut must lie on the
     negative axis). Returns (alpha_k, integral, err). Raises ToleranceNotMet,
     with the last trial's integral and err, when no alpha above alpha_floor
-    meets the budget, and InvalidParameters when alpha_k starts at or below it.
+    meets the budget, and InvalidParameters when alpha_k starts at or below it
+    or k is not in 1..len(alphas).
     """
     if target is None:
         target = 0.5 ** (k + 1)
     spec = BranchSpec(-1.0 + 0j)
     alphas = [float(a) for a in alphas]
+    if not 1 <= k <= len(alphas):
+        raise InvalidParameters(f"stage {k} is not in 1..{len(alphas)}, the given alphas")
     alpha = alphas[k - 1]
     if not alpha > alpha_floor:
         raise InvalidParameters(f"alpha_{k} = {alpha} is not above the floor {alpha_floor}")

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -27,6 +28,7 @@ from wbl.errors import (
     MassTooLarge,
     NoValidY,
     OutOfRange,
+    ToleranceNotMet,
     UnboundedWeight,
 )
 
@@ -82,6 +84,65 @@ def test_poisson_bounds_check_flags_bugs(monkeypatch):
     monkeypatch.setattr(wbl.certs, "poisson_extension", lambda p, x, y, tol: 0.0)
     with pytest.raises(BoundViolated):
         poisson_bounds_check(0.5, [(1.0, 1.0)])
+
+
+def _poisson_closed_form_mp(p, x, y):
+    """Re((-iz)^p) / cos(p pi / 2) at 40 digits."""
+    with mpmath.workdps(40):
+        return mpmath.re((-1j * mpmath.mpc(x, y)) ** p) / mpmath.cos(mpmath.pi * p / 2)
+
+
+def test_poisson_extension_within_its_rounding_bound():
+    """Against 40 digits, U misses by less than the bound it reports with
+    ToleranceNotMet at tol = 0, and it is even in x to the bit. A quarter of
+    the draws have p in [0.99, 0.999], where cos(p pi / 2) is worst
+    conditioned."""
+    rng = np.random.default_rng(25)
+    ps = np.concatenate([rng.uniform(0.01, 0.99, 300), rng.uniform(0.99, 0.999, 100)])
+    for p in ps:
+        r, th = 10.0 ** rng.uniform(-3.0, 3.0), rng.uniform(0.0, math.pi)
+        x, y = r * math.cos(th), r * math.sin(th)
+        with pytest.raises(ToleranceNotMet) as info:
+            poisson_extension(p, x, y, 0.0)
+        u, bound = info.value.value, info.value.err
+        assert abs(u - _poisson_closed_form_mp(p, x, y)) <= bound, (p, x, y)
+        assert poisson_extension(p, -x, y, bound) == u
+
+
+def _poisson_integral_mp(p, x, y):
+    """(1/pi) int |x + y tau|^p / (1 + tau^2) dtau at 30 digits.
+
+    With tau = tan t, each side of the kink t0 = atan(-x/y) is written in
+    the distance s to its end t = +-pi/2, where tan t = +-cot s, and s = w^m
+    with m = 1/(1 - p) makes the s^-p endpoint smooth.
+    """
+    with mpmath.workdps(30):
+        p, x, y = mpmath.mpf(p), mpmath.mpf(x), mpmath.mpf(y)
+        m, t0 = 1 / (1 - p), mpmath.atan(-x / y)
+        total = mpmath.mpf(0)
+        for sign in (1, -1):
+            def g(w, sign=sign):
+                s = w**m
+                body = abs(x * mpmath.sin(s) + sign * y * mpmath.cos(s)) ** p
+                return body / mpmath.sin(s) ** p * m * w ** (m - 1)
+
+            total += mpmath.quad(g, [0, (mpmath.pi / 2 - sign * t0) ** (1 / m)])
+        return total / mpmath.pi
+
+
+@pytest.mark.parametrize("p, x, y", [(0.5, 1.0, 1.0), (0.3, -2.0, 0.5), (0.9, 0.1, 3.0)])
+def test_poisson_extension_is_the_poisson_integral(p, x, y):
+    ref = float(_poisson_integral_mp(p, x, y))
+    assert poisson_extension(p, x, y) == pytest.approx(ref, rel=1e-12)
+
+
+def test_poisson_extension_raises_below_its_rounding_bound():
+    with pytest.raises(ToleranceNotMet) as info:
+        poisson_extension(0.99, 3.0, 0.5, 1e-14)
+    assert info.value.err > 1e-14
+    ref = float(_poisson_closed_form_mp(0.99, 3.0, 0.5))
+    assert info.value.value == pytest.approx(ref, rel=1e-12)
+    assert poisson_extension(0.99, 3.0, 0.5, info.value.err) == info.value.value
 
 
 def test_potential_mass_bound_sharp_case():
@@ -190,6 +251,78 @@ def test_certificate_range_checks():
         nondensity_certificate(0.5, 0.5)
     with pytest.raises(NoValidY):
         nondensity_certificate(0.999, 1e9)
+
+
+_SWEEP_M = (1.01, 1.5, 2.0, 5.0, 10.0, 100.0, 1e4, 1e8)
+
+# Y for each p and the budgets of _SWEEP_M, as found by the earlier threshold
+# search: a 200,001-point log grid, then 200 bisection steps
+_Y_FROZEN = {
+    0.05: (16.593994220247108, 18.19761007099773, 19.366443684593385, 23.09464243387222,
+           25.915174029029046, 35.266558351860546, 53.892145078446184, 90.99342363346969),
+    0.1: (18.162406565275774, 19.825051288355432, 21.033178089081176, 24.871101930032065,
+          27.76312680093098, 37.30866424064713, 56.21577806897174, 93.69226506727142),
+    0.2: (23.065108770154684, 24.883552320915648, 26.197548812064024, 30.340691531210837,
+          33.43905024753185, 43.57113190947714, 63.38478990257812, 102.15809057727023),
+    0.3: (32.905387960486685, 34.95561239541176, 36.43173677675692, 41.061358868716674,
+          44.50269429191927, 55.659037993991184, 77.16747472417937, 118.55557395487152),
+    0.4: (57.19139289584234, 59.60546752627924, 61.342398787842946, 66.78117680962488,
+          70.81343856141532, 83.81434426803142, 108.57758066473333, 155.35348447355986),
+    0.5: (142.21678824268204, 145.21242446219637, 147.37422120003373, 154.17068209407276,
+          159.22934536666835, 175.5983339010553, 206.7906763826358, 265.17204827592263),
+    0.6: (701.5019447847427, 705.3900575452976, 708.2103036793583, 717.1501476166918,
+          723.8706813291219, 745.9485598610747, 789.0705308001557, 871.8837377008786),
+    0.65: (2451.4693389308018, 2455.9620119168444, 2459.226488235474, 2469.6056281988917,
+           2477.4386317902927, 2503.347032114147, 2554.664722306476, 2655.447155540787),
+    0.7: (14263.235597616387, 14268.5021622802, 14272.332003734116, 14284.525579969137,
+          14293.744840894651, 14324.34086069422, 14385.397007020867, 14506.974727395998),
+    0.75: (191015.08042805668, 191021.40786089847, 191026.01009082436, 191040.66801229838,
+           191051.7557416435, 191088.58491871037, 191162.22731632652, 191309.44838573074),
+}
+
+# Where the rounded gap changes sign more than once within a few ulps of the
+# root, the one bisection from max(1, r*) lands on another of those floats.
+# These are the underflow cases, with Y above 1e4; each moved by 2 or 3 ulps.
+_Y_MOVED = {
+    (0.7, 5.0): 14284.525579969142,
+    (0.75, 1.01): 191015.0804280566,
+    (0.75, 100.0): 191088.5849187103,
+    (0.75, 1e4): 191162.22731632658,
+    (0.75, 1e8): 191309.44838573082,
+}
+
+
+def _gap_mp(cert, r):
+    with mpmath.workdps(40):
+        r = mpmath.mpf(r)
+        return r / 4 - mpmath.log(1 + 4 * mpmath.exp(cert.C_1 + cert.C_p * r**cert.p))
+
+
+@pytest.mark.parametrize("p", sorted(_Y_FROZEN))
+def test_threshold_is_the_last_root_of_the_gap(p):
+    """The bisection's bracket starts where the gap is negative, and at
+    40 digits the gap is positive at Y but not 1e-9 below it."""
+    for M in _SWEEP_M:
+        cert = nondensity_certificate(p, M)
+        r_star = (4.0 * cert.C_p * p) ** (1.0 / (1.0 - p))
+        assert _gap_mp(cert, max(1.0, r_star)) < 0, (p, M)
+        assert _gap_mp(cert, cert.Y) > 0 >= _gap_mp(cert, cert.Y * (1.0 - 1e-9)), (p, M)
+
+
+def test_threshold_matches_the_sampled_search():
+    """Y is bit-identical to the grid search's on the sweep, except the
+    entries named in _Y_MOVED, which stay within 3 ulps of it."""
+    wrong = []
+    for p, ys in _Y_FROZEN.items():
+        for M, y_old in zip(_SWEEP_M, ys):
+            want = _Y_MOVED.get((p, M), y_old)
+            got = nondensity_certificate(p, M).Y
+            if got != want:
+                wrong.append((p, M, got, want))
+    assert not wrong, f"(p, M, Y, frozen Y): {wrong}"
+    for (p, M), y in _Y_MOVED.items():
+        y_old = _Y_FROZEN[p][_SWEEP_M.index(M)]
+        assert 0 < abs(y - y_old) <= 3 * np.spacing(y_old)
 
 
 def test_norm_enclosure_and_derived_certificate():

@@ -281,6 +281,14 @@ def test_strip_budget_search_failure_is_tolerance_not_met(monkeypatch):
     assert len(calls) == 2
 
 
+@pytest.mark.parametrize("k, alphas", [(2, [0.1]), (0, [0.1]), (-1, [0.1, 0.05])])
+def test_strip_budget_search_rejects_a_stage_without_its_alpha(k, alphas):
+    """k must name one of the given alphas; a negative k must not wrap round."""
+    P = Polynomial((1.0,), 0j, 1.0)
+    with pytest.raises(InvalidParameters):
+        strip_budget_search(k, alphas, P, ZeroWeight())
+
+
 def test_example_stage_with_condition_a_weight():
     """Stage scan under a unit-mass atom at the origin still decays."""
     region, _ = moon_stage(2, [0.1, 0.05])
