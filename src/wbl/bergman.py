@@ -2,11 +2,11 @@
 distance scans, and the extremal orthonormal basis.
 
 One R-only Householder QR of the weighted evaluation matrix at the nodes of
-a grid, augmented by one column per target, serves every result of that
-grid; normal equations are never formed, since shifted monomials are
+a grid (_factor), augmented by one column per target, serves every result of
+that grid; normal equations are never formed, since shifted monomials are
 exponentially ill-conditioned. Each target's coefficients, distances d_k and
-||f||, the Gram matrix R^T conj(R) and the scale-free condition number (of R
-with unit-norm columns) are read off its backward-stable triangular factor.
+||f||, the Gram matrix R^T conj(R), its condition number, and the extremal
+basis (from a QR of R reversed) are read off the backward-stable factor R.
 The tall, skinny QR is a tree of cache-sized leaves reduced pairwise (TSQR),
 which keeps distances near 1e-10 d_0 at the rounding level of a single QR.
 """
@@ -32,8 +32,8 @@ _ILL_COND = 1e14
 class GramMatrix:
     """Hermitian matrix of weighted inner products of scaled shifted monomials.
 
-    cond_estimate is that of its unit-diagonal form: cond(R)^2 for the
-    least-squares factor R with unit-norm columns.
+    matrix is R^T conj(R) for the least-squares factor R, kept as factor;
+    cond_estimate is cond(R)^2 for R with unit-norm columns.
     """
 
     center: complex
@@ -44,6 +44,7 @@ class GramMatrix:
     error_budget: float
     ill_conditioned: bool
     positive_definite: bool
+    factor: np.ndarray
 
 
 @dataclass
@@ -124,6 +125,16 @@ def _scan_grid(domain, w, p, s, N, targets, singular, tol, rule_order, max_cells
     return build_grid(domain, pilot, singular, tol, rule_order, max_cells)
 
 
+def _factor(domain, w, p, s, N, targets, f_singularities, Q, tol, rule_order, max_cells):
+    """(p, s, grid, R) for the weighted [A | b]; a divisor Q skips the weight check."""
+    p, s = _resolve_ps(domain, p, s)
+    if Q is None:
+        _check_weight(domain, w)
+    singular = quadrature_points(w, f_singularities)
+    grid = _scan_grid(domain, w, p, s, N, targets, singular, tol, rule_order, max_cells, Q)
+    return p, s, grid, _blocked_lsq(grid, w, p, s, N, targets, Q)
+
+
 def _unit_cond(R):
     """Condition number of R with unit-norm columns, free of the scale s."""
     return float(np.linalg.cond(R / np.linalg.norm(R, axis=0)))
@@ -138,10 +149,7 @@ def gram_matrix(domain, w, p=None, s=None, N=10, tol=1e-10, rule_order=8, max_ce
     scale-free, above 1e14 or R singular) is returned but flagged. tol is
     relative to the overall mass.
     """
-    p, s = _resolve_ps(domain, p, s)
-    _check_weight(domain, w)
-    grid = _scan_grid(domain, w, p, s, N, (), quadrature_points(w), tol, rule_order, max_cells)
-    R = _blocked_lsq(grid, w, p, s, N, ())
+    p, s, grid, R = _factor(domain, w, p, s, N, (), (), None, tol, rule_order, max_cells)
     G = R.T @ R.conj()
     G = 0.5 * (G + G.conj().T)
     diag = np.diag(R)
@@ -156,6 +164,7 @@ def gram_matrix(domain, w, p=None, s=None, N=10, tol=1e-10, rule_order=8, max_ce
         error_budget=grid.error_estimate,
         ill_conditioned=not pd or cond > _ILL_COND,
         positive_definite=pd,
+        factor=R,
     )
 
 
@@ -231,12 +240,8 @@ def best_poly_approx(
 
 def _best_approx(fs, domain, w, p, s, n, tol, f_singularities, divisor_Q, rule_order, max_cells):
     """best_poly_approx of each f in fs, with ||f||, from one grid and one factor."""
-    p, s = _resolve_ps(domain, p, s)
-    if divisor_Q is None:
-        _check_weight(domain, w)
-    singular = quadrature_points(w, f_singularities)
-    grid = _scan_grid(domain, w, p, s, n, fs, singular, tol, rule_order, max_cells, divisor_Q)
-    Rb = _blocked_lsq(grid, w, p, s, n, fs, divisor_Q)
+    p, s, grid, Rb = _factor(domain, w, p, s, n, fs, f_singularities, divisor_Q, tol, rule_order,
+                             max_cells)
     R, C = Rb[: n + 1, : n + 1], Rb[:, n + 1 :]
     cond = _unit_cond(R)
     # R is upper triangular, so the LU inside solve does no pivoting
@@ -316,28 +321,33 @@ def best_poly_approx_with_jet(
     )
 
 
+class ExtremalBasis(list):
+    """f_0..f_N of extremal_basis, flagged as the Gram matrix they come from."""
+
+
 def extremal_basis(
     domain, w, p=None, s=None, N=10, tol=1e-10, gram: GramMatrix | None = None, **kw
 ):
     """Orthonormal family f_n = a_n (z-p)^n + higher order with maximal a_n > 0.
 
     Within the degree <= N subspace, f_n is orthogonal to every higher-
-    vanishing element, so it comes from Cholesky factorization of the Gram
-    matrix in reversed monomial order; the maximal leading coefficient is the
-    reciprocal Cholesky diagonal.
+    vanishing element. With R P = Q2 R2 for the Gram's factor R and the
+    reversal P, conj(R2) with a positive diagonal is the reversed Cholesky
+    factor of G, got without squaring cond(R); a_n is its reciprocal
+    diagonal. The list carries the Gram's cond_estimate and ill_conditioned.
     """
     if gram is None:
         gram = gram_matrix(domain, w, p, s, N, tol, **kw)
-    G = gram.matrix
     N = gram.degree
-    rev = G[::-1, ::-1]
-    try:
-        L = np.linalg.cholesky(rev)
-    except np.linalg.LinAlgError as exc:
-        raise IllConditioned(f"Gram Cholesky broke down (cond ~ {gram.cond_estimate:.2e})") from exc
-    # B is upper triangular: column N - n, reversed, is f_n in the monomials
-    B = np.linalg.inv(L.conj().T)
-    return [Polynomial(tuple(B[::-1, N - n]), gram.center, gram.scale) for n in range(N + 1)]
+    U = np.linalg.qr(gram.factor[:, ::-1], mode="r").conj()
+    d = np.diag(U)
+    if not np.all(np.isfinite(d) & (d != 0)):
+        raise IllConditioned(f"Gram factor is singular (cond ~ {gram.cond_estimate:.2e})")
+    # U is triangular, so solve does no pivoting; column N - n of B, reversed, is f_n
+    B = np.linalg.solve(U * (np.abs(d) / d)[:, None], np.eye(N + 1))
+    basis = ExtremalBasis(Polynomial(tuple(c), gram.center, gram.scale) for c in B[::-1, ::-1].T)
+    basis.cond_estimate, basis.ill_conditioned = gram.cond_estimate, gram.ill_conditioned
+    return basis
 
 
 @dataclass

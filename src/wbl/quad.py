@@ -626,8 +626,8 @@ def truncation_tail(w, R: float, amplitude: float = 1.0, growth: float = 0.0) ->
 
     Bounds integrals of amplitude * e^(growth |y|) * e^(-|y| - |z|^p) over
     {|z| > R}: for growth <= 1 the y-factors cancel pointwise, leaving
-    amplitude * 2 pi * int_R^inf r e^(-r^p) dr, which is evaluated by 1-D
-    quadrature plus an analytic remainder for the far tail.
+    amplitude * 2 pi * int_R^inf r e^(-r^p) dr: 1-D quadrature plus an analytic
+    far-tail remainder, rounded up by 16 eps, the rounding budget of the panel sum.
     """
     if not isinstance(w, ImAbsPlusPower):
         raise UnsupportedGrowth("tail bounds are defined for the |Im z| + |z|^p weight")
@@ -651,4 +651,4 @@ def truncation_tail(w, R: float, amplitude: float = 1.0, growth: float = 0.0) ->
         step *= 1.5
     value, err = integrate_1d(h, edges, tol=1e-11 * math.gamma(a))
     remainder = 2.0 * x1 ** (a - 1.0) * math.exp(-x1)
-    return amplitude * TWO_PI * (value + err + remainder) / p
+    return amplitude * TWO_PI * (value + err + remainder) / p * (1.0 + 16 * np.finfo(float).eps)

@@ -284,7 +284,9 @@ def quadrature_points(w: Weight, f_singularities=()):
     """The weight's singular points, then the targets'. Each atom of mass nu < 2
     that is not a target singularity is paired with nu, the exact order there
     of e^(-phi) times any smooth factor; quadrature samples the order of the
-    others, such as an atom of mass >= 2 that a divisor's zero partly cancels."""
+    others: an atom of mass >= 2 that a divisor's zero partly cancels, and the
+    plain kink 0j of ImAbsPlusPower, sampled at about 0.09, whose u ~ 0.003
+    ladder grades the |z|^p cusp that the norm enclosure's digits rest on."""
     targets = {complex(p[0] if isinstance(p, tuple) else p) for p in f_singularities}
     try:
         atoms = {complex(zi) for zi, _ in w.riesz_atoms() if w.lelong(zi) < 2.0} - targets

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -332,6 +333,43 @@ def test_extremal_basis_leading_coefficient_oracle(unit_moon):
         lead = np.asarray(basis[n].coeffs)[n].real / g.scale**n
         assert lead == pytest.approx(a_oracle, rel=1e-6)
         assert lead > 0
+
+
+def _exact_disc_leading(p, s, N):
+    """a_n = 1 / L[N - n, N - n] for the reversed Cholesky factor L, at 80 digits,
+    of the exact unit-disc Gram matrix of ((z - p)/s)^k under zero weight:
+    G_jk = s^-(j+k) sum_{a <= min(j,k)} C(j,a) C(k,a) (-p)^(j-a) conj(-p)^(k-a) pi/(a+1)."""
+    with mpmath.workdps(80):
+        q, r = -mpmath.mpf(p), mpmath.mpf(s)
+
+        def g(j, k):
+            t = sum(
+                mpmath.binomial(j, a) * mpmath.binomial(k, a) * q ** (j + k - 2 * a) / (a + 1)
+                for a in range(min(j, k) + 1)
+            )
+            return mpmath.pi * t / r ** (j + k)
+
+        G = mpmath.matrix(N + 1, N + 1)
+        for j in range(N + 1):
+            for k in range(N + 1):
+                G[N - j, N - k] = g(j, k)
+        L = mpmath.cholesky(G)
+        return [float(1 / L[N - n, N - n]) for n in range(N + 1)]
+
+
+@pytest.mark.parametrize(
+    "p, s, N, rtol, flagged",
+    [(0.5, 1.0, 20, 1e-10, False), (0.7, 1.5, 25, 1e-6, True), (0.5, 1.0, 30, 1e-6, True)],
+)
+def test_extremal_leading_coefficients_match_exact_gram(unit_disc, p, s, N, rtol, flagged):
+    """The basis is read off the least-squares factor, not a Cholesky of the
+    Gram matrix, so it keeps the digits of R where cond(G) passes 1e14; a
+    flagged Gram still gives a flagged basis."""
+    basis = extremal_basis(unit_disc, ZeroWeight(), p, s, N, tol=1e-13, rule_order=16)
+    assert basis.ill_conditioned is flagged
+    lead = np.array([complex(b.coeffs[n]) for n, b in enumerate(basis)])
+    want = np.array(_exact_disc_leading(p, s, N))
+    assert np.max(np.abs(lead - want) / want) < rtol
 
 
 def test_extremal_leading_coeff_grows_with_degree_cutoff(unit_moon):
