@@ -135,7 +135,8 @@ def _run_certify(args, out: Path) -> None:
     if args.M is not None:
         cert = nondensity_certificate(p, args.M)
     else:
-        cert, enclosure = certificate_from_enclosure(p, args.R, tol=args.tol or 1e-4)
+        tol = 1e-4 if args.tol is None else args.tol
+        cert, enclosure = certificate_from_enclosure(p, args.R, tol=tol)
     radii = np.exp(np.linspace(np.log(0.05), np.log(50.0), 16))
     samples = [(r * np.cos(0.7), r * np.sin(0.7)) for r in radii]
     poisson = poisson_bounds_check(p, samples)
@@ -187,7 +188,7 @@ def _run_poisson_check(args, out: Path) -> None:
         (float(r * np.cos(np.pi * a)), float(abs(r * np.sin(np.pi * a)) + 1e-8 * r))
         for r, a in zip(radii, angles)
     ]
-    report = poisson_bounds_check(args.p, samples, tol=args.tol or 1e-9)
+    report = poisson_bounds_check(args.p, samples, tol=1e-9 if args.tol is None else args.tol)
     report["config"] = {"p": args.p, "samples": args.samples}
     _write_json(out / "poisson_check.json", report)
 
@@ -314,6 +315,8 @@ def main(argv=None) -> int:
     runner, _ = _RUNNERS[args.cmd]
     out = Path(args.out)
     try:
+        if args.tol is not None and not 0.0 < args.tol < float("inf"):
+            raise ConfigError(f"--tol must be positive and finite, got {args.tol}")
         out.mkdir(parents=True, exist_ok=True)
         runner(args, out)
     except ConfigError as exc:

@@ -31,7 +31,9 @@ cache-sized (the batched design of DCUHRE: Berntsen, Espelid & Genz, ACM TOMS
 so batching changes no bit of the result. Duffy cells stop splitting once
 their reach from the apex would fall below 1e-13 r; when those cells' own
 estimates already sum above the tolerance, no refinement can meet it, and
-the engine stops with the estimate it has.
+the engine stops with the estimate it has. A cell on an empty radial section
+is worth 0, and the integrand is not called at its nodes; it stays in the
+cell list, so thresholds and summation order are those of a full pass.
 """
 
 from __future__ import annotations
@@ -225,7 +227,15 @@ class _Engine:
         _, wg = _gauss(self.q)
         xu, wu = self._u_rule(beta)
         z, jac = self._nodes(t0, t1, u0, u1, br, xu, duffy)
-        vals = np.asarray(self.g(z.reshape(-1)), dtype=complex).reshape(z.shape)
+        # a cell on an empty section has Jacobian 0 at every node: it is worth 0
+        # and not valued; a chunk without a zero Jacobian skips the mask's copies
+        if jac.min() > 0:
+            vals = np.asarray(self.g(z.reshape(-1)), dtype=complex).reshape(z.shape)
+        else:
+            live = jac.any(axis=(1, 2))
+            vals = np.zeros(z.shape, dtype=complex)
+            if live.any():
+                vals[live] = np.reshape(self.g(z[live].ravel()), (-1, self.q, self.q))
         integ = vals * jac
         inner = (integ * wu[:, None, :]).sum(axis=2)
         total = (inner * wg[None, :]).sum(axis=1)

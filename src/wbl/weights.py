@@ -48,8 +48,9 @@ class Polynomial:
         u = (np.asarray(z) - self.center) / self.scale
         acc = np.zeros_like(u)
         for c in reversed(self.coeffs):
-            acc = acc * u + c
-        return acc
+            acc *= u
+            acc += c
+        return acc[()]  # a NumPy scalar for a scalar z, not a 0-d array
 
     def taylor_coefficients(self) -> np.ndarray:
         k = np.arange(len(self.coeffs))

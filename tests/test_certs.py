@@ -7,11 +7,14 @@ import pytest
 import wbl.certs
 from wbl import (
     Disc,
+    ImAbsPlusPower,
     LogPotential,
     Moon,
     Polynomial,
+    TruncatedPlane,
     ZeroWeight,
     cp_constant,
+    integrate,
     moon_tangency,
     nondensity_certificate,
     pointwise_eval_bound,
@@ -21,7 +24,7 @@ from wbl import (
     probe_circle,
     weighted_norm_sq,
 )
-from wbl.certs import certificate_from_enclosure
+from wbl.certs import _Quadrant, certificate_from_enclosure, cos_half_norm_enclosure
 from wbl.errors import (
     BoundViolated,
     InvalidParameters,
@@ -323,6 +326,37 @@ def test_threshold_matches_the_sampled_search():
     for (p, M), y in _Y_MOVED.items():
         y_old = _Y_FROZEN[p][_SWEEP_M.index(M)]
         assert 0 < abs(y - y_old) <= 3 * np.spacing(y_old)
+
+
+def test_scalar_gap_is_bitwise_the_vector_gap():
+    """A float r takes the math-call gap, an array the numpy one; they agree
+    to the bit on the frozen sweep, from max(1, r*) to 10 Y."""
+    for p in _Y_FROZEN:
+        for M in _SWEEP_M:
+            cert = nondensity_certificate(p, M)
+            r_star = (4.0 * cert.C_p * p) ** (1.0 / (1.0 - p))
+            r = np.exp(np.linspace(math.log(max(1.0, r_star)), math.log(10.0 * cert.Y), 97))
+            vector = wbl.certs._gap(r, p, cert.C_p, cert.C_1)
+            scalar = [wbl.certs._gap(x, p, cert.C_p, cert.C_1) for x in r.tolist()]
+            assert all(type(s) is float for s in scalar)
+            assert np.array(scalar).tobytes() == vector.tobytes(), (p, M)
+
+
+def test_quadrant_area():
+    value, err = integrate(_Quadrant(3.0), lambda z: np.ones(z.shape), (), 1e-12)
+    assert value.real == pytest.approx(9.0 * math.pi / 4.0, rel=1e-13)
+    assert err <= 1e-12
+
+
+def test_quadrant_enclosure_matches_the_full_disc():
+    """Four times the quadrant's closed-form integral is the full disc's norm
+    of cos(z/2), within the sum of the two error estimates."""
+    disc, disc_err = weighted_norm_sq(
+        lambda z: np.cos(0.5 * z), TruncatedPlane(20.0), ImAbsPlusPower(0.3), 1e-6
+    )
+    enc = cos_half_norm_enclosure(0.3, 20.0, 1e-6)
+    assert enc["trunc_err"] <= 1e-6
+    assert abs(enc["trunc_value"] - disc) <= enc["trunc_err"] + disc_err
 
 
 def test_norm_enclosure_and_derived_certificate():

@@ -95,6 +95,26 @@ def test_config_rejected_where_unread(tmp_path, argv):
         main(argv + ["--p", "0.5", "--config", "/nonexistent.json", "--out", str(tmp_path)])
 
 
+@pytest.mark.parametrize("tol", ["0", "-1", "nan"])
+@pytest.mark.parametrize("argv", [
+    ["certify", "--p", "0.5", "--R", "40"],
+    ["certify", "--p", "0.5", "--M", "10"],
+    ["poisson-check", "--p", "0.5"],
+    ["gram", "--config", "cfg.json"],
+    ["density-scan", "--config", "cfg.json"],
+    ["moon-criterion", "--config", "cfg.json"],
+    ["potential-check", "--config", "cfg.json"],
+    ["moon-stage", "--config", "cfg.json"],
+])
+def test_tol_must_be_positive_and_finite(tmp_path, capsys, argv, tol):
+    """A --tol of 0, below 0 or NaN is invalid input (exit 1), not a
+    silent default or a numerical failure, and writes nothing."""
+    out = tmp_path / "out"
+    assert main(argv + ["--tol", tol, "--out", str(out)]) == 1
+    assert "--tol" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_moon_criterion_subcommand(tmp_path):
     cfg = {
         "domain": {

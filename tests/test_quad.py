@@ -17,6 +17,7 @@ from wbl import (
     gram_matrix,
     integrate,
     integrate_1d,
+    moon_stage,
     truncation_tail,
     weighted_norm_sq,
 )
@@ -557,3 +558,20 @@ def test_one_rule_pass_per_values(unit_disc, monkeypatch):
         monkeypatch.setattr(quad._Engine, name, wrapped)
     gram_matrix(unit_disc, LogPotential([(0.3 + 0.2j, 1.2)]), N=3, tol=1e-10)
     assert counts["_values"] > 0 and counts["_rule"] == counts["_values"]
+
+
+def test_cells_on_empty_sections_are_not_evaluated():
+    """The strip's sections are empty outside its window; cells there are
+    worth 0 without a call of the integrand, so one that is NaN off the strip
+    gives bitwise the plain integrand's value and error."""
+    _, strip = moon_stage(1, [0.2])
+
+    def g(z):
+        return np.abs(z) ** 2 + np.cos(3 * z.real)
+
+    def nan_off_strip(z):
+        return np.where(strip.contains(z), g(z), np.nan)
+
+    value, err = integrate(strip, nan_off_strip, (), 1e-10)
+    assert math.isfinite(value.real) and math.isfinite(err)
+    assert (value, err) == integrate(strip, g, (), 1e-10)

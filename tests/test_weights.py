@@ -184,6 +184,27 @@ def test_polynomial_evaluation_and_recenter(rng):
     assert Polynomial((0j,)).degree == -1
 
 
+def test_polynomial_in_place_horner_is_bitwise(rng):
+    """In-place Horner gives the bits of acc = acc * u + c, on arrays and
+    scalars, and a scalar z still gives a NumPy scalar."""
+    p = Polynomial(tuple(rng.standard_normal(16) + 1j * rng.standard_normal(16)), 0.3 - 0.2j, 1.7)
+
+    def horner(z):
+        u = (np.asarray(z) - p.center) / p.scale
+        acc = np.zeros_like(u)
+        for c in reversed(p.coeffs):
+            acc = acc * u + c
+        return acc
+
+    z = rng.standard_normal((3, 40)) + 1j * rng.standard_normal((3, 40))
+    for arg in (z, z[:, ::3], z.real):
+        assert p(arg).tobytes() == horner(arg).tobytes()
+    for arg in (0.25, 1 - 2j, np.complex128(0.3j), 3):
+        got, want = p(arg), horner(arg)
+        assert type(got) is type(want) is np.complex128
+        assert got.tobytes() == want.tobytes()
+
+
 def test_polynomial_taylor_roundtrip(rng):
     taylor = rng.standard_normal(5) + 1j * rng.standard_normal(5)
     p = Polynomial.from_taylor(taylor, 0.1 + 0j, 3.0)
