@@ -1,14 +1,29 @@
 """Weighted polynomial approximation: Gram matrices, best approximants,
 distance scans, and the extremal orthonormal basis.
 
-One R-only Householder QR of the weighted evaluation matrix at the nodes of
-a grid (_factor), augmented by one column per target, serves every result of
-that grid; normal equations are never formed, since shifted monomials are
-exponentially ill-conditioned. Each target's coefficients, distances d_k and
-||f||, the Gram matrix R^T conj(R), its condition number, and the extremal
-basis (from a QR of R reversed) are read off the backward-stable factor R.
-The tall, skinny QR is a tree of cache-sized leaves reduced pairwise (TSQR),
-which keeps distances near 1e-10 d_0 at the rounding level of a single QR.
+Every result comes from one upper-triangular factor R of the weighted
+[A | b] (_factor): A the scaled monomials, b one column per target, and
+R^H R their matrix of inner products. Each target's coefficients, distances
+d_k and ||f||, the Gram matrix R^T conj(R), its condition number, and the
+extremal basis (from a QR of R reversed) are read off R; normal equations
+are never formed, since shifted monomials are exponentially ill-conditioned.
+R comes by one of two routes, chosen from the inputs:
+
+- rotation-invariant problems (a disc or truncated plane expanded about its
+  centre, the zero weight or atoms at the centre only, no declared target
+  singularity, no divisor but a power of the basis variable): the monomials
+  are orthogonal, so R is diagonal in its polynomial part. Gauss-Jacobi in
+  the radius and one FFT over equispaced angles give the Gram diagonal
+  exactly and each <f, zeta^k> to aliasing, on levels that double the angles
+  until two agree (_rotation_factor). No grid is adapted and no QR is taken;
+  a target that needs too many angles falls back to the engine.
+- everything else: an R-only Householder QR of the weighted evaluation
+  matrix at the nodes of an adapted grid. The tall, skinny QR is a tree of
+  cache-sized leaves reduced pairwise (TSQR), which keeps distances near
+  1e-10 d_0 at the rounding level of a single QR.
+
+Each result names its route, with the rotation route's final angle and
+radius counts.
 """
 
 from __future__ import annotations
@@ -21,11 +36,14 @@ import numpy as np
 from .errors import DegenerateWeight, IllConditioned, InvalidParameters, UnsupportedMeasure
 from .geometry import ArcRegion, Disc, Moon, TruncatedPlane
 # integrate stays importable here: perfbench/tracing.py patches wbl.bergman.integrate
-from .quad import build_grid, integrate, weight_factor  # noqa: F401
-from .weights import Polynomial, quadrature_points
+from .quad import _gauss, build_grid, integrate, weight_factor  # noqa: F401
+from .weights import LogPotential, Polynomial, ZeroWeight, quadrature_points
 
 _LEAF = 8_192
 _ILL_COND = 1e14
+# trapezoid angles past which a rotation-invariant problem goes to the engine
+_MAX_ANGLES = 2048
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass
@@ -33,7 +51,11 @@ class GramMatrix:
     """Hermitian matrix of weighted inner products of scaled shifted monomials.
 
     matrix is R^T conj(R) for the least-squares factor R, kept as factor;
-    cond_estimate is cond(R)^2 for R with unit-norm columns.
+    cond_estimate is cond(R)^2 for R with unit-norm columns. error_budget is,
+    on the engine route, the adapted grid's quadrature estimate for its pilot
+    integral, a heuristic budget rather than a certificate; on the rotation
+    route the matrix is exact up to rounding and the budget is 4 eps times the
+    sum of its diagonal. route is "engine" or "rotation M=<angles> q=<radii>".
     """
 
     center: complex
@@ -45,6 +67,7 @@ class GramMatrix:
     ill_conditioned: bool
     positive_definite: bool
     factor: np.ndarray
+    route: str = "engine"
 
 
 @dataclass
@@ -53,8 +76,12 @@ class ApproximationResult:
 
     distances[k] is the weighted-L2 distance from f to polynomials of degree
     <= k; for jet-constrained runs entries below the jet order are NaN (no
-    feasible polynomial). error_budget is the quadrature estimate carried by
-    the node grid, a heuristic budget rather than a certificate.
+    feasible polynomial). error_budget is, on the engine route, the
+    quadrature estimate carried by the node grid for its pilot integral, a
+    heuristic budget rather than a certificate; on the rotation route it is
+    the largest change of ||f|| or of any d_k between the last two levels,
+    floored at 4 eps ||f||, an absolute bound on the distances' error. route
+    names the route that ran, as in GramMatrix.
     """
 
     degree: int
@@ -64,6 +91,7 @@ class ApproximationResult:
     error_budget: float
     cond_estimate: float
     ill_conditioned: bool
+    route: str = "engine"
 
 
 def default_center_scale(domain):
@@ -126,13 +154,126 @@ def _scan_grid(domain, w, p, s, N, targets, singular, tol, rule_order, max_cells
 
 
 def _factor(domain, w, p, s, N, targets, f_singularities, Q, tol, rule_order, max_cells):
-    """(p, s, grid, R) for the weighted [A | b]; a divisor Q skips the weight check."""
+    """(p, s, R, error_budget, route) for the weighted [A | b]; a divisor Q
+    skips the weight check. A rotation-invariant problem is solved by
+    orthogonality when its levels agree within the node cap, else, like every
+    other problem, on an adapted grid."""
     p, s = _resolve_ps(domain, p, s)
     if Q is None:
         _check_weight(domain, w)
+    radial = _radial_problem(domain, w, p, s, f_singularities, Q)
+    if radial is not None:
+        solved = _rotation_factor(domain, w, s, N, targets, tol, *radial)
+        if solved is not None:
+            return (p, s) + solved
     singular = quadrature_points(w, f_singularities)
     grid = _scan_grid(domain, w, p, s, N, targets, singular, tol, rule_order, max_cells, Q)
-    return p, s, grid, _blocked_lsq(grid, w, p, s, N, targets, Q)
+    return p, s, _blocked_lsq(grid, w, p, s, N, targets, Q), grid.error_estimate, "engine"
+
+
+def _radial_problem(domain, w, p, s, f_singularities, Q):
+    """(rho, alpha, m) when every monomial about p is orthogonal to every
+    other, else None: a disc or truncated plane of radius rho centred at p, no
+    target singularity, the zero weight or atoms of total mass alpha < 2 at
+    the centre, and no divisor or Q = ((z - p)/s)^m. Centres agree to 1e-12 rho."""
+    if not isinstance(domain, (Disc, TruncatedPlane)) or f_singularities:
+        return None
+    c = domain.radial_center()
+    rho = domain.radius if isinstance(domain, Disc) else domain.R
+    if abs(p - c) > 1e-12 * rho:
+        return None
+    if isinstance(w, ZeroWeight):
+        alpha = 0.0
+    elif isinstance(w, LogPotential) and w.offset is None:
+        if any(abs(zi - c) > 1e-12 * rho for zi, _ in w.atoms):
+            return None
+        alpha = math.fsum(ai for _, ai in w.atoms)
+    else:
+        return None
+    m = 0 if Q is None else len(Q.coeffs) - 1
+    if alpha >= 2.0 or Q is not None and (Q.center, Q.scale, Q.coeffs) != (p, s, (0,) * m + (1,)):
+        return None
+    return rho, alpha, m
+
+
+def _distance_tails(C):
+    """sqrt(sum_{l>=i} |C[l, j]|^2) for every row i, summed from the small end."""
+    return np.sqrt(np.cumsum(np.abs(C[::-1]) ** 2, axis=0)[::-1])
+
+
+def _rotation_factor(domain, w, s, N, targets, tol, rho, alpha, m):
+    """(R, error_budget, route) by orthogonality, or None past _MAX_ANGLES.
+
+    With the centre c and zeta = (z - c)/s, the basis zeta^(m+k), k = 0..N, is
+    orthogonal. In r = rho (1 + x)/2 the weighted area element is 2 pi r^(1 -
+    alpha) times a smooth factor, so a q-point Gauss-Jacobi rule in x (Golub &
+    Welsch) gives G_k = <zeta^(m+k), zeta^(m+k)> exactly once q >= m + N + 1.
+    Each target is sampled on M equispaced angles of every radius, and its
+    angular Fourier modes F_j(r_i) come from one FFT; the periodic trapezoid
+    rule is exact on those modes up to aliasing (Trefethen & Weideman, SIAM
+    Rev. 56(3), 2014). So b_k = <f, zeta^(m+k)> = sum_i W_i (r_i/s)^(m+k)
+    F_(m+k)(r_i), and the residual of f is F with c_k (r_i/s)^(m+k) taken off
+    its basis modes; its norm follows by Parseval, never by a subtraction from
+    ||f||. At the last level the same norm is summed over the nodes instead,
+    from f - P with P by Horner: the FFT rounds each mode to a few ulps of
+    ||f||, which moves a d_N near 1e-7 ||f|| by ~1e-10 of itself, and the
+    node sum keeps about a third of that. R = [[diag sqrt(G), b / sqrt(G)],
+    [0, R_E]] has R^H R = [A | b]^H W [A | b] like the engine's factor, with
+    R_E the residual norm for one target and the R of the residual columns
+    for several.
+
+    Levels start at M = max(32, 2^ceil(log2(2(m + N + 1)))) and q = m + N + 1
+    and double M, raising q by 8, until ||f|| and every d_k of two levels
+    agree within tol ||f||; that difference, floored at the rounding of
+    ||f||, is the error budget. Without a target the first level is exact,
+    and the budget is the rounding of its sums. A target that needs more
+    than _MAX_ANGLES angles (a pole near the rim, an undeclared singularity)
+    is left to the engine.
+    """
+    c = domain.radial_center()
+    K, T = m + N + 1, len(targets)
+    M, q = max(32, 1 << (2 * K - 1).bit_length()), K
+    prev = None
+    while M <= _MAX_ANGLES:
+        x, wx = _gauss(q, 1.0 - alpha)
+        r = 0.5 * rho * (1.0 + x)
+        W = math.pi * rho * wx * r * weight_factor(w, c + r)
+        pw = (r / s)[:, None] ** np.arange(m, K)
+        G = (W[:, None] * pw * pw).sum(axis=0)
+        sqG = np.sqrt(G)
+        R = np.zeros((N + 1 + T, N + 1 + T), dtype=complex)
+        R[: N + 1, : N + 1] = np.diag(sqG)
+        if not T:
+            return R, 4.0 * _EPS * float(G.sum()), f"rotation M={M} q={q}"
+        z = (c + r[:, None] * np.exp(2j * math.pi * np.arange(M) / M)).ravel()
+        fz = np.array([np.broadcast_to(f(z), z.shape) for f in targets], dtype=complex)
+        # F[t, i, j]: mode j of target t on the circle of radius r_i
+        F = np.fft.fft(fz.reshape(T, q, M), axis=2) / M
+        b = (W[:, None] * pw * F[:, :, m:K]).sum(axis=1)
+        coeffs = b / G
+        F[:, :, m:K] -= coeffs[:, None, :] * pw
+        R[: N + 1, N + 1 :] = (b / sqG).T
+        R[N + 1 :, N + 1 :] = _residual_factor(np.sqrt(W)[:, None] * F)
+        tails = _distance_tails(R[:, N + 1 :])[: N + 2]
+        if prev is not None:
+            gap = np.abs(tails - prev).max(axis=0)
+            if np.all(gap <= tol * tails[0]):
+                budget = max(float(gap.max()), 4.0 * _EPS * float(tails[0].max()))
+                for t in range(T):
+                    fz[t] -= Polynomial((0,) * m + tuple(coeffs[t]), c, s)(z)
+                E = np.sqrt(W / M)[:, None] * fz.reshape(T, q, M)
+                R[N + 1 :, N + 1 :] = _residual_factor(E)
+                return R, budget, f"rotation M={M} q={q}"
+        prev, M, q = tails, 2 * M, q + 8
+    return None
+
+
+def _residual_factor(E):
+    """R of the residual columns E[t] (weighted samples or modes); for one
+    target, its norm, summed by numpy so that no BLAS call rounds it."""
+    if len(E) == 1:
+        return math.sqrt(float((np.abs(E) ** 2).sum()))
+    return np.linalg.qr(E.reshape(len(E), -1).T, mode="r")
 
 
 def _unit_cond(R):
@@ -146,10 +287,11 @@ def gram_matrix(domain, w, p=None, s=None, N=10, tol=1e-10, rule_order=8, max_ce
     G[j, k] = <psi_j, psi_k> = conj(A^H A)[j, k] = (R^T conj(R))[j, k] for
     the weighted Vandermonde A = QR. Raises DegenerateWeight when some
     monomial has infinite norm; an ill-conditioned result (cond_estimate,
-    scale-free, above 1e14 or R singular) is returned but flagged. tol is
-    relative to the overall mass.
+    scale-free, above 1e14 or R singular) is returned but flagged. On the
+    engine route tol is relative to the overall mass; the rotation route's
+    Gram matrix is exact up to rounding, whatever tol.
     """
-    p, s, grid, R = _factor(domain, w, p, s, N, (), (), None, tol, rule_order, max_cells)
+    p, s, R, budget, route = _factor(domain, w, p, s, N, (), (), None, tol, rule_order, max_cells)
     G = R.T @ R.conj()
     G = 0.5 * (G + G.conj().T)
     diag = np.diag(R)
@@ -161,10 +303,11 @@ def gram_matrix(domain, w, p=None, s=None, N=10, tol=1e-10, rule_order=8, max_ce
         degree=N,
         matrix=G,
         cond_estimate=cond,
-        error_budget=grid.error_estimate,
+        error_budget=budget,
         ill_conditioned=not pd or cond > _ILL_COND,
         positive_definite=pd,
         factor=R,
+        route=route,
     )
 
 
@@ -240,17 +383,16 @@ def best_poly_approx(
 
 def _best_approx(fs, domain, w, p, s, n, tol, f_singularities, divisor_Q, rule_order, max_cells):
     """best_poly_approx of each f in fs, with ||f||, from one grid and one factor."""
-    p, s, grid, Rb = _factor(domain, w, p, s, n, fs, f_singularities, divisor_Q, tol, rule_order,
-                             max_cells)
+    p, s, Rb, budget, route = _factor(domain, w, p, s, n, fs, f_singularities, divisor_Q, tol,
+                                      rule_order, max_cells)
     R, C = Rb[: n + 1, : n + 1], Rb[:, n + 1 :]
     cond = _unit_cond(R)
     # R is upper triangular, so the LU inside solve does no pivoting
     coeffs = np.linalg.solve(R, C[: n + 1])
-    # tails[i, j] = sum_{l>=i} |C[l, j]|^2, summed from the small end
-    tails = np.cumsum(np.abs(C[::-1]) ** 2, axis=0)[::-1]
+    tails = _distance_tails(C)
     out = []
     for j in range(len(fs)):
-        distances = np.sqrt(tails[1 : n + 2, j])
+        distances = tails[1 : n + 2, j]
         poly = Polynomial(tuple(coeffs[:, j]), p, s)
         if divisor_Q is not None:
             poly = divisor_Q.recenter(p, s) * poly
@@ -259,11 +401,12 @@ def _best_approx(fs, domain, w, p, s, n, tol, f_singularities, divisor_Q, rule_o
             polynomial=poly,
             distance=float(distances[n]),
             distances=distances,
-            error_budget=grid.error_estimate,
+            error_budget=budget,
             cond_estimate=cond,
             ill_conditioned=cond > _ILL_COND,
+            route=route,
         )
-        out.append((result, math.sqrt(tails[0, j])))
+        out.append((result, float(tails[0, j])))
     return out
 
 
@@ -318,6 +461,7 @@ def best_poly_approx_with_jet(
         error_budget=res.error_budget,
         cond_estimate=res.cond_estimate,
         ill_conditioned=res.ill_conditioned,
+        route=res.route,
     )
 
 

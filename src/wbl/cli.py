@@ -61,6 +61,7 @@ def _run_gram(args, out: Path) -> None:
             "ill_conditioned": g.ill_conditioned,
             "center": (g.center.real, g.center.imag),
             "scale": g.scale,
+            "route": g.route,
         },
     )
     lines.append("j,k,re,im")
@@ -89,7 +90,7 @@ def _run_density_scan(args, out: Path) -> None:
         rule_order=q.rule_order,
         max_cells=q.max_cells,
     )
-    lines = _csv_header(cfg.raw, {"verdict (HEURISTIC)": scan.verdict})
+    lines = _csv_header(cfg.raw, {"verdict (HEURISTIC)": scan.verdict, "route": scan.approx.route})
     lines.append("n,d_n,err_budget,cond_estimate")
     budget, cond = float(scan.approx.error_budget), float(scan.approx.cond_estimate)
     for n, d in enumerate(scan.distances):
@@ -299,7 +300,9 @@ def main(argv=None) -> int:
         if needs_config:
             sp.add_argument("--config", required=True, help="JSON experiment config")
         sp.add_argument("--out", default=".", help="output directory")
-        sp.add_argument("--tol", type=float, default=None, help="quadrature tolerance override")
+        tol_help = ("norm enclosure tolerance (not with --M)" if name == "certify"
+                    else "quadrature tolerance override")
+        sp.add_argument("--tol", type=float, default=None, help=tol_help)
         if name == "certify":
             sp.add_argument("--p", type=float, required=True, help="weight exponent in (0,1)")
             sp.add_argument("--M", type=float, default=None, help="norm budget; computed if absent")
@@ -317,6 +320,8 @@ def main(argv=None) -> int:
     try:
         if args.tol is not None and not 0.0 < args.tol < float("inf"):
             raise ConfigError(f"--tol must be positive and finite, got {args.tol}")
+        if args.cmd == "certify" and args.M is not None and args.tol is not None:
+            raise ConfigError("--tol sets the norm enclosure's tolerance, which --M skips")
         out.mkdir(parents=True, exist_ok=True)
         runner(args, out)
     except ConfigError as exc:

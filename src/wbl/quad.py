@@ -38,6 +38,7 @@ cell list, so thresholds and summation order are those of a full pass.
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import math
 from dataclasses import dataclass
@@ -51,6 +52,32 @@ from .weights import ImAbsPlusPower, quadrature_points
 TWO_PI = 2.0 * math.pi
 # most nodes valued in one pass, so a round's temporaries stay cache-sized
 _CHUNK = 1 << 14
+
+
+def _keep_freed_heap():
+    """Keep the few MB that a solve frees on glibc's heap for the next solve.
+
+    glibc maps each block above its mmap threshold afresh, and returns the
+    top of its heap to the system once more than its trim threshold is free.
+    Both start at 128 KB and rise only when the process frees a large mapped
+    block, so, left alone, the engine's speed hangs on what ran before it:
+    where nothing did, a solve gives its ~2 MB of temporaries back and the
+    next one faults them in again. On a 2-core x86-64 host that cost the
+    moon criterion about a fifth of its time. Fixing both thresholds once
+    keeps those pages: blocks up to 8 MB come from the heap, and it is
+    trimmed only past 16 MB free. A libc without mallopt (not glibc), or a
+    platform without dlopen, is left as it is.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        return
+    mallopt(-3, 1 << 23)  # M_MMAP_THRESHOLD
+    mallopt(-1, 1 << 24)  # M_TRIM_THRESHOLD
+
+
+_keep_freed_heap()
+
 
 @functools.lru_cache(maxsize=64)
 def _gauss(order: int, beta: float = 0.0):

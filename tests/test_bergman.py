@@ -5,8 +5,12 @@ import numpy as np
 import pytest
 
 from wbl import (
+    Disc,
     LogPotential,
+    Moon,
     Polynomial,
+    SumWeight,
+    TruncatedPlane,
     ZeroWeight,
     best_poly_approx,
     best_poly_approx_with_jet,
@@ -24,6 +28,12 @@ from wbl.quad import weight_factor
 
 def pole_target(a):
     return lambda z: 1.0 / (np.asarray(z, dtype=complex) - a)
+
+
+def on_engine(w):
+    """w as a sum of one term: the same integrand bit for bit, but not a weight
+    the rotation route takes, so a centred disc problem runs on the engine."""
+    return SumWeight((w,))
 
 
 def pole_distance_oracle(n_max, weight_exponent=0.0, radius=2.0):
@@ -139,7 +149,9 @@ def test_centred_atom_scan_on_gauss_jacobi_grid(unit_disc, monkeypatch, a):
         return grids[-1]
 
     monkeypatch.setattr(bergman, "build_grid", capture)
-    scan = density_scan(pole_target(a), unit_disc, LogPotential([(0j, 1.5)]), N_max=20, rule_order=12)
+    w = on_engine(LogPotential([(0j, 1.5)]))
+    scan = density_scan(pole_target(a), unit_disc, w, N_max=20, rule_order=12)
+    assert len(grids) == 1 and scan.approx.route == "engine"
     oracle = pole_distance_oracle(20, weight_exponent=1.5, radius=abs(a))
     resolved = oracle >= 1e-12 * oracle[0]
     assert np.max(np.abs(scan.distances - oracle)[resolved] / oracle[resolved]) <= 1e-6
@@ -220,6 +232,7 @@ def test_divisor_evaluated_once_per_node_array(unit_disc, monkeypatch):
         lambda z: z**2 / (z - 2.0), unit_disc, LogPotential([(0j, 2.5)]), 0j, 1.0, 6,
         divisor_Q=CountedQ((0j, 0j, 1 + 0j)),
     )
+    assert len(grids) == 1
     zs = [z for _, z in arrays]
     assert zs and all(a is not b for a, b in zip(zs, zs[1:]))
     assert sum(len(z) for lsq, z in arrays if lsq) == len(grids[0].nodes)
@@ -245,7 +258,8 @@ def test_jet_centred_atom_at_its_lelong_number(unit_disc, monkeypatch):
     g_j = 2 * math.pi / (2 * js + 2 - alpha)
     jet = (1.3 * f_j[0],)
     r = best_poly_approx_with_jet(
-        pole_target(a), unit_disc, LogPotential([(0j, alpha)]), 0j, 1.0, n, jet=jet, tol=1e-10
+        pole_target(a), unit_disc, on_engine(LogPotential([(0j, alpha)])), 0j, 1.0, n, jet=jet,
+        tol=1e-10,
     )
     k = len(jet)
     pinned = sum(abs(jet[j] - f_j[j]) ** 2 * g_j[j] for j in range(k))
@@ -436,17 +450,21 @@ def test_lsq_cond_estimate_is_scale_free(unit_disc, s):
 
 
 def _split_into_leaves(monkeypatch, leaves):
-    """Make every later grid's least squares take exactly `leaves` leaves."""
+    """Make every later grid's least squares take exactly `leaves` leaves; the
+    returned list gets one entry per grid."""
     scan_grid = bergman._scan_grid
+    grids = []
 
     def split(*args):
         grid = scan_grid(*args)
         size = -(-len(grid.nodes) // leaves)
         assert -(-len(grid.nodes) // size) == leaves
         monkeypatch.setattr(bergman, "_LEAF", size)
+        grids.append(grid)
         return grid
 
     monkeypatch.setattr(bergman, "_scan_grid", split)
+    return grids
 
 
 def assert_normwise_close(got, want):
@@ -466,10 +484,11 @@ def test_leaf_tree_matches_one_leaf(unit_disc, monkeypatch, leaves):
     jet = (-0.4, -0.3)
 
     def solve(leaves):
-        _split_into_leaves(monkeypatch, leaves)
-        r = best_poly_approx(f, unit_disc, LogPotential([(0j, 1.5)]), n=12, rule_order=12)
-        j = best_poly_approx_with_jet(f, unit_disc, ZeroWeight(), n=8, jet=jet)
+        grids = _split_into_leaves(monkeypatch, leaves)
+        r = best_poly_approx(f, unit_disc, on_engine(LogPotential([(0j, 1.5)])), n=12, rule_order=12)
+        j = best_poly_approx_with_jet(f, unit_disc, on_engine(ZeroWeight()), n=8, jet=jet)
         monkeypatch.undo()
+        assert len(grids) == 2
         return r, j
 
     one = solve(1)
@@ -488,12 +507,13 @@ def test_second_target_column_matches_one_column_factor(unit_disc, monkeypatch, 
     residual, which is still orthogonal to the polynomials, so the tail sums
     remain its distances. Both solves use one grid.
     """
-    w = LogPotential([(0j, 1.5)])
+    w = on_engine(LogPotential([(0j, 1.5)]))
     first, second = pole_target(2.0), pole_target(1.5j)
     grid = bergman._scan_grid(
         unit_disc, w, 0j, 1.0, 12, (first, second), w.quadrature_singularities(), 1e-10, 12, 100_000
     )
-    monkeypatch.setattr(bergman, "_scan_grid", lambda *args: grid)
+    calls = []
+    monkeypatch.setattr(bergman, "_scan_grid", lambda *args: calls.append(args) or grid)
 
     def solve(fs, leaves):
         monkeypatch.setattr(bergman, "_LEAF", -(-len(grid.nodes) // leaves))
@@ -501,6 +521,7 @@ def test_second_target_column_matches_one_column_factor(unit_disc, monkeypatch, 
 
     two, two_norm = solve((first, second), leaves)[1]
     one, one_norm = solve((second,), 1)[0]
+    assert len(calls) == 2
     assert_normwise_close(two.distances, one.distances)
     assert_normwise_close(two.polynomial.coeffs, one.polynomial.coeffs)
     assert two_norm == pytest.approx(one_norm, rel=1e-12)
@@ -561,6 +582,7 @@ def test_pilot_clamp_is_bit_exact(unit_disc, monkeypatch, N):
     p, s = 0.1 + 0.05j, 1.3
     w, f = LogPotential([(0j, 1.5)]), pole_target(2.0)
     density_scan(f, unit_disc, w, p, s, N)
+    assert len(pilots) == 1
     gen = np.random.default_rng(29)
     zeta = 10.0 ** gen.uniform(-30, math.log10(2), 20_000)
     z = p + s * zeta * np.exp(2j * math.pi * gen.uniform(size=zeta.size))
@@ -596,3 +618,137 @@ def test_moon_inv_sqrt_monte_carlo_projection(unit_moon):
         coef = np.linalg.solve(sub, m[: deg + 1])
         d_mc = math.sqrt(max(0.0, norm_sq - float(np.real(m[: deg + 1].conj() @ coef))))
         assert d_mc == pytest.approx(scan.distances[deg], rel=1e-2)
+
+
+# ---- the rotation route: centred discs solved by orthogonality --------------
+
+
+def is_rotation(route):
+    return route.startswith("rotation M=")
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, 1.9])
+def test_rotation_gram_diagonal_closed_form(unit_disc, alpha):
+    """Under |z|^-alpha the monomials are orthogonal with norms 2 pi / (2k + 2 -
+    alpha), pi / (k + 1) for the zero weight; Gauss-Jacobi in the radius gets
+    them to rounding and leaves every off-diagonal entry exactly 0."""
+    w = ZeroWeight() if alpha == 0 else LogPotential([(0j, alpha)])
+    g = gram_matrix(unit_disc, w, 0j, 1.0, 20)
+    assert is_rotation(g.route)
+    k = np.arange(21)
+    want = 2 * math.pi / (2 * k + 2 - alpha)
+    assert np.max(np.abs(np.diag(g.matrix) - want) / want) <= 1e-13
+    assert np.array_equal(g.matrix, np.diag(np.diag(g.matrix)))
+    assert g.cond_estimate == pytest.approx(1.0, abs=1e-14) and g.positive_definite
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.5])
+@pytest.mark.parametrize("a", [2.0, 1.5j, -1.2 + 1.1j])
+def test_rotation_pole_series(unit_disc, alpha, a):
+    """The pole's distances, with and without a centre atom, against the series
+    oracle: within 1e-9 wherever d_k is resolved, and within the error budget
+    (floored at the rounding of ||f||) everywhere."""
+    w = ZeroWeight() if alpha == 0 else LogPotential([(0j, alpha)])
+    scan = density_scan(pole_target(a), unit_disc, w, N_max=20)
+    assert is_rotation(scan.approx.route)
+    oracle = pole_distance_oracle(20, weight_exponent=alpha, radius=abs(a))
+    err = np.abs(scan.distances - oracle)
+    resolved = oracle >= 1e-12 * oracle[0]
+    assert np.max(err[resolved] / oracle[resolved]) <= 1e-9
+    assert np.max(err) <= scan.approx.error_budget <= 1e-10 * oracle[0]
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.5])
+def test_rotation_jet_oracle(unit_disc, alpha):
+    """The jet route's divisor ((z - p)/s)^k keeps the problem on the rotation
+    route; d_m^2 = sum_{j<k} |c_j - f_j|^2 g_j + sum_{j>m} |f_j|^2 g_j."""
+    a, n = 1.7 + 0.4j, 12
+    js = np.arange(200)
+    f_j = -(a ** -(js + 1.0))
+    g_j = 2 * math.pi / (2 * js + 2 - alpha)
+    jet = (1.3 * f_j[0], 0.5 * f_j[1])
+    w = ZeroWeight() if alpha == 0 else LogPotential([(0j, alpha)])
+    r = best_poly_approx_with_jet(pole_target(a), unit_disc, w, 0j, 1.0, n, jet=jet, tol=1e-12)
+    assert is_rotation(r.route)
+    k = len(jet)
+    pinned = sum(abs(jet[j] - f_j[j]) ** 2 * g_j[j] for j in range(k))
+    tails = np.cumsum((np.abs(f_j) ** 2 * g_j)[::-1])[::-1]
+    oracle = np.sqrt(pinned + tails[k : n + 2])
+    assert np.max(np.abs(r.distances[k - 1 :] - oracle) / oracle) <= 1e-12
+    assert np.all(np.isnan(r.distances[: k - 1]))
+
+
+def test_rotation_extremal_leading_coefficients(unit_disc):
+    """f_n = z^n / ||z^n|| under |z|^-1, so a_n = sqrt((2n + 1) / (2 pi)) at any s."""
+    basis = extremal_basis(unit_disc, LogPotential([(0j, 1.0)]), N=15)
+    lead = np.array([complex(b.taylor_coefficients()[n]) for n, b in enumerate(basis)])
+    want = np.sqrt((2 * np.arange(16) + 1) / (2 * math.pi))
+    assert np.max(np.abs(lead - want) / want) <= 1e-13
+    assert not basis.ill_conditioned
+
+
+def test_rotation_second_target_matches_one_target(unit_disc):
+    """Several targets share the levels; each column reads off its own answer."""
+    w = LogPotential([(0j, 1.5)])
+    first, second = pole_target(2.0), pole_target(1.5j)
+    two = bergman._best_approx((first, second), unit_disc, w, 0j, 1.0, 12, 1e-10, (), None, 12, 0)
+    one = bergman._best_approx((second,), unit_disc, w, 0j, 1.0, 12, 1e-10, (), None, 12, 0)
+    assert is_rotation(two[1][0].route) and is_rotation(one[0][0].route)
+    assert_normwise_close(two[1][0].distances, one[0][0].distances)
+    assert_normwise_close(two[1][0].polynomial.coeffs, one[0][0].polynomial.coeffs)
+    assert two[1][1] == pytest.approx(one[0][1], rel=1e-12)
+
+
+def test_rotation_route_is_taken_only_where_monomials_are_orthogonal(unit_disc, unit_moon):
+    f = pole_target(5.0)
+    centred = Disc(0.3 - 0.2j, 2.0)
+
+    def route(domain, w, **kw):
+        return best_poly_approx(f, domain, w, n=4, **kw).route
+
+    assert is_rotation(route(unit_disc, ZeroWeight()))
+    assert is_rotation(route(TruncatedPlane(3.0), ZeroWeight()))
+    assert is_rotation(route(centred, LogPotential([(0.3 - 0.2j, 1.0), (0.3 - 0.2j, 0.9)])))
+    assert is_rotation(route(unit_disc, ZeroWeight(), p=0j, s=1.0, divisor_Q=Polynomial((0, 0, 1))))
+    jet = best_poly_approx_with_jet(f, unit_disc, LogPotential([(0j, 1.5)]), n=4, jet=(-0.2,))
+    assert is_rotation(jet.route)
+    assert is_rotation(gram_matrix(centred, ZeroWeight(), N=4).route)
+
+    assert route(unit_disc, ZeroWeight(), p=1e-9) == "engine"
+    assert route(unit_disc, LogPotential([(0.3 + 0.2j, 1.2)])) == "engine"
+    assert route(unit_disc, LogPotential([(0j, 1.0)], lambda z: 0.1 * np.real(z), 0.1)) == "engine"
+    assert route(unit_moon, ZeroWeight()) == "engine"
+    assert route(unit_disc, ZeroWeight(), f_singularities=(0.5 + 0j,)) == "engine"
+    assert route(unit_disc, ZeroWeight(), p=0j, s=1.0, divisor_Q=Polynomial((0, 1, 1))) == "engine"
+    assert route(unit_disc, ZeroWeight(), p=0j, s=1.0, divisor_Q=Polynomial((0, 0, 2))) == "engine"
+    vanishing = best_poly_approx(
+        lambda z: z**2 * f(z), unit_disc, LogPotential([(0j, 2.5)]), 0j, 1.0, 4,
+        divisor_Q=Polynomial((0, 0, 1)),
+    )
+    assert vanishing.route == "engine"
+    assert gram_matrix(unit_disc, LogPotential([(0.2 + 0j, 1.0)]), N=4).route == "engine"
+
+
+def test_pole_near_the_rim_falls_back_to_the_engine(unit_disc, monkeypatch):
+    """A pole at |a| = 1.01 needs more angles than the route allows: the solve
+    is the engine's, bit for bit, and meets the series oracle."""
+    f = pole_target(1.01j)
+    res = best_poly_approx(f, unit_disc, ZeroWeight(), n=10)
+    assert res.route == "engine"
+    monkeypatch.setattr(bergman, "_radial_problem", lambda *args: None)
+    ref = best_poly_approx(f, unit_disc, ZeroWeight(), n=10)
+    assert np.array_equal(res.distances, ref.distances)
+    assert res.polynomial == ref.polynomial and res.error_budget == ref.error_budget
+    ks = np.arange(5000)
+    terms = math.pi / (ks + 1) / 1.01 ** (2 * ks + 2)
+    oracle = np.array([math.sqrt(terms[n + 1 :].sum()) for n in range(11)])
+    assert np.max(np.abs(res.distances - oracle) / oracle) <= 1e-8
+
+
+@pytest.mark.parametrize("f", [lambda z: 1.0, lambda z: np.abs(z) ** 2], ids=["scalar", "real"])
+def test_rotation_takes_real_and_constant_targets(unit_disc, f):
+    """A target may return a real array or a bare number, as on the engine."""
+    got = density_scan(f, unit_disc, ZeroWeight(), N_max=3)
+    want = density_scan(f, unit_disc, on_engine(ZeroWeight()), N_max=3, tol=1e-12, rule_order=12)
+    assert is_rotation(got.approx.route) and want.approx.route == "engine"
+    assert np.allclose(got.distances, want.distances, rtol=1e-10, atol=1e-13)

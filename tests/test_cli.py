@@ -264,3 +264,53 @@ def test_import_loads_no_scipy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_certify_rejects_tol_with_M(tmp_path, capsys):
+    """With --M no norm enclosure runs, so a --tol would go unread: it is
+    invalid input (exit 1), named on stderr, and nothing is written."""
+    out = tmp_path / "out"
+    assert main(["certify", "--p", "0.5", "--M", "10", "--tol", "1e-6", "--out", str(out)]) == 1
+    assert "--tol" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_headers_name_the_route(tmp_path):
+    """gram.csv and density_scan.csv say which route solved them, with the
+    rotation route's final angle and radius counts."""
+    disc = write_config(tmp_path, DISC_SCAN, "disc.json")
+    assert main(["gram", "--config", disc, "--out", str(tmp_path)]) == 0
+    assert main(["density-scan", "--config", disc, "--out", str(tmp_path)]) == 0
+    for name in ("gram.csv", "density_scan.csv"):
+        header = [ln for ln in (tmp_path / name).read_text().splitlines() if ln.startswith("#")]
+        routes = [ln for ln in header if ln.startswith("# route:")]
+        assert len(routes) == 1 and routes[0].startswith("# route: 'rotation M=")
+        assert not any("np." in ln for ln in header)  # plain floats, not numpy reprs
+    moon = dict(DISC_SCAN, domain={"type": "moon", "outer": {"c": [0, 0], "r": 1},
+                                   "inner": {"c": [0.45, 0], "r": 0.55}}, N_max=3)
+    assert main(["gram", "--config", write_config(tmp_path, moon, "moon.json"), "--out", str(tmp_path)]) == 0
+    assert "# route: 'engine'" in (tmp_path / "gram.csv").read_text().splitlines()
+
+
+README_DISC = dict(DISC_SCAN, quad={"tol": 1e-10, "rule_order": 12, "max_cells": 100000})
+
+
+@pytest.mark.parametrize("cmd, artifact", [("gram", "gram.csv"), ("density-scan", "density_scan.csv")])
+def test_artifacts_do_not_depend_on_blas_threads(tmp_path, cmd, artifact):
+    """The README disc config gives the same bytes under one and two BLAS
+    threads; the variable is read when numpy loads, so each run is a fresh
+    interpreter."""
+    cfg = write_config(tmp_path, README_DISC)
+    src = str(Path(wbl.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    outs = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads)
+        proc = subprocess.run(
+            [sys.executable, "-m", "wbl.cli", cmd, "--config", cfg, "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outs.append((out / artifact).read_bytes())
+    assert outs[0] == outs[1]
