@@ -166,7 +166,7 @@ def _factor(domain, w, p, s, N, targets, f_singularities, Q, tol, rule_order, ma
         solved = _rotation_factor(domain, w, s, N, targets, tol, *radial)
         if solved is not None:
             return (p, s) + solved
-    singular = quadrature_points(w, f_singularities)
+    singular = quadrature_points(w, f_singularities, Q)
     grid = _scan_grid(domain, w, p, s, N, targets, singular, tol, rule_order, max_cells, Q)
     return p, s, _blocked_lsq(grid, w, p, s, N, targets, Q), grid.error_estimate, "engine"
 
@@ -369,12 +369,14 @@ def best_poly_approx(
 ) -> ApproximationResult:
     """Best weighted-L2 approximation of f by polynomials of degree <= n.
 
+    Each f_singularities entry is a (point, order) pair, with the order of
+    |f|^2 e^(-phi) at its point; a plain point raises InvalidParameters.
     With divisor_Q, approximates f from Q * P, P of degree <= n: least
     squares on the basis Q ((z - p)/s)^k, so nothing is divided by Q. This
     is the factor-out trick for weights with an atom of mass >= 2 at a zero
     of Q, where only multiples of Q have finite norm. The returned polynomial
-    is Q * P in that case and distances refer to ||f - Q P||. Atoms of mass
-    below 2 are integrated at their Lelong numbers on this route too.
+    is Q * P in that case and distances refer to ||f - Q P||; such an atom of
+    mass nu is integrated at order nu - 2m at a zero of multiplicity m.
     """
     return _best_approx(
         (f,), domain, w, p, s, n, tol, f_singularities, divisor_Q, rule_order, max_cells

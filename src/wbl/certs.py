@@ -28,7 +28,7 @@ from .errors import (
 )
 from .geometry import ArcRegion, Disc, Moon, TruncatedPlane, boundary_distance, contains
 # integrate_1d and weighted_norm_sq stay importable: perfbench/tracing.py patches them here
-from .quad import integrate, integrate_1d, truncation_tail, weight_factor  # noqa: F401
+from .quad import integrate, integrate_1d, truncation_tail  # noqa: F401
 from .quad import weighted_norm_sq  # noqa: F401
 from .weights import ImAbsPlusPower, LogPotential, quadrature_points
 
@@ -36,10 +36,11 @@ LOG4 = math.log(4.0)
 
 
 def cp_constant(p: float) -> float:
-    """2 / cos(p pi / 2), the upper Poisson sandwich constant."""
+    """2 / cos(p pi / 2), the upper Poisson sandwich constant, as 2 / sin((1 - p)
+    pi / 2): within an ulp for every p, where the cosine loses -log10(1 - p) digits."""
     if not 0.0 < p < 1.0:
         raise OutOfRange(f"exponent must lie in (0, 1), got {p}")
-    return 2.0 / math.cos(0.5 * math.pi * p)
+    return 2.0 / math.sin(0.5 * math.pi * (1.0 - p))
 
 
 def poisson_extension(p: float, x: float, y: float, tol: float = 1e-9) -> float:
@@ -266,9 +267,8 @@ def nondensity_certificate(p: float, M: float) -> NonDensityCertificate:
 
 
 class _Quadrant(TruncatedPlane):
-    """The quarter 0 <= arg z <= pi/2 of TruncatedPlane(R); other rays have the
-    empty section [R, R]. Membership and bounding box stay the disc's, so the
-    corner 0j is the singular radial centre, its order sampled as on the disc."""
+    """TruncatedPlane(R) cut to 0 <= arg z <= pi/2, with the empty section [R, R] on
+    other rays; membership, bounding box and radial centre 0j (its order given) are the disc's."""
 
     def theta_breakpoints(self):
         return [0.0, 0.5 * math.pi]
@@ -285,17 +285,22 @@ def cos_half_norm_enclosure(p: float = 0.5, R: float = 40.0, tol: float = 1e-4, 
     Quadrature over the truncated plane of radius R plus the certified tail
     bound for the excluded region (|cos(z/2)|^2 <= e^|y|, growth 1). The
     integrand |cos(z/2)|^2 e^-phi = (cos x + cosh y) / 2 e^(-|y| - |z|^p) is
-    even in x and in y, so it is integrated in that real closed form over the
-    quadrant 0 <= arg z <= pi/2 at tol / 4, and value and error are taken four
-    times: exact, since a quadrant's mirror images carry the same integral. Any
-    max_cells in kw caps the cells of that one quadrant.
+    even in x and in y, so only the quadrant 0 <= arg z <= pi/2 is integrated,
+    at tol / 4, with value and error taken four times. Its variable is zeta,
+    with |z| = |zeta|^(1/p) and arg z = arg zeta, where |z|^p = |zeta| is
+    smooth: k = |zeta|^(1/p - 1) gives z = k zeta and dA_z = k^2 dA_zeta / p,
+    so the one singular point zeta = 0 has the exact order 2 - 2/p. Any
+    max_cells in kw caps the cells of that quadrant.
     """
     w = ImAbsPlusPower(p)
 
-    def g(z):
-        return 0.5 * (np.cos(z.real) + np.cosh(z.imag)) * weight_factor(w, z)
+    def g(zeta):
+        rho = np.abs(zeta)
+        k = rho ** (1.0 / p - 1.0)
+        y = k * zeta.imag
+        return (0.5 / p) * (np.cos(k * zeta.real) + np.cosh(y)) * np.exp(-y - rho) * (k * k)
 
-    value, err = integrate(_Quadrant(R), g, quadrature_points(w), 0.25 * tol, **kw)
+    value, err = integrate(_Quadrant(R**p), g, ((0j, 2.0 - 2.0 / p),), 0.25 * tol, **kw)
     value, err = 4.0 * value.real, 4.0 * err
     tail = truncation_tail(w, R, amplitude=1.0, growth=1.0)
     return {

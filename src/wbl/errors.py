@@ -36,7 +36,7 @@ class ToleranceNotMet(WblError):
 
 
 class NonIntegrableSingularity(WblError):
-    """A marked singular point has estimated order >= 2 (ring sums diverge)."""
+    """A marked singular point has a given order >= 1.995 (not integrable)."""
 
 
 class DegenerateWeight(WblError):

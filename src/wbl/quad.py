@@ -16,12 +16,12 @@ A marked singular point off the center is the apex of eight Duffy triangles
 near-square in physical units. Each triangle is a cell in local coordinates
 (t, s) in [0, 1]^2, mapped to (theta, u) = A + s ((P - A) + t (P' - P)), so
 the integrand times the Jacobian is s^(1 - a) times a smooth function, and
-the same Gauss-Jacobi rule in s integrates it. The order is exact when the
-caller gives it with the point, else sampled. No singular core is excluded
-or bounded. A cell's error estimate is the difference between its value and
-the sum over its 2x2 split. Refinement always processes the worst cells first
-with index ties broken deterministically, and final values are summed in
-creation order, so identical inputs give bit-identical results.
+the same Gauss-Jacobi rule in s integrates it. Every singular point comes
+with its order, given by the caller, never sampled. No singular core is
+excluded or bounded. A cell's error estimate is the difference between its
+value and the sum over its 2x2 split. Refinement always processes the worst
+cells first with index ties broken deterministically, and final values are
+summed in creation order, so identical inputs give bit-identical results.
 
 Each refinement round splits up to 512 of the worst cells and values all
 their children, together with each child's own 2x2 split, in one batched rule
@@ -46,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .errors import NonIntegrableSingularity, ToleranceNotMet, UnsupportedGrowth
+from .errors import InvalidParameters, NonIntegrableSingularity, ToleranceNotMet, UnsupportedGrowth
 from .weights import ImAbsPlusPower, quadrature_points
 
 TWO_PI = 2.0 * math.pi
@@ -126,23 +126,12 @@ class QuadratureGrid:
         return len(self.cells)
 
 
-def _ring_abs(g, center, radius, n=16):
-    ang = TWO_PI * (np.arange(n) + 0.37) / n
-    vals = np.abs(np.asarray(g(center + radius * np.exp(1j * ang)), dtype=complex))
-    vals = vals[np.isfinite(vals)]
-    return float(np.max(vals)) if vals.size else 0.0
-
-
-def _estimate_order(g, point, scale):
-    """Sampled growth order a of |g| ~ C d^(-a) near the point."""
-    d1 = 1e-3 * scale
-    d2 = d1 / 4.0
-    m1 = _ring_abs(g, point, d1)
-    m2 = _ring_abs(g, point, d2)
-    if m1 <= 0.0 or m2 <= 0.0:
-        return 0.0
-    a = math.log(m2 / m1) / math.log(d1 / d2)
-    return min(max(a, 0.0), 2.5)
+def _order(p, orders):
+    """The largest of a singular point's entries' orders, below 1.995."""
+    order = max(orders)
+    if order >= 1.995:
+        raise NonIntegrableSingularity(f"singularity at {p} has order {order:.3f} >= 2")
+    return order
 
 
 def _circ(a, b):
@@ -165,11 +154,10 @@ class _Engine:
         self.nb = domain.max_branches()
         x0, x1, y0, y1 = domain.bounding_box()
         self.scale = 0.5 * math.hypot(x1 - x0, y1 - y0)
-        # (point, order or None): an entry is a point or a (point, order) pair
-        self.singular_points = tuple(
-            (complex(p[0]), float(p[1])) if isinstance(p, tuple) else (complex(p), None)
-            for p in singular_points
-        )
+        try:
+            self.singular_points = tuple((complex(p), float(a)) for p, a in singular_points)
+        except (TypeError, ValueError):
+            raise InvalidParameters(f"singular points are (point, order) pairs: {singular_points}")
 
         # per cell: edges in (theta, u), or in (t, s) for a Duffy cell; branch;
         # the Jacobi exponent of its rule in u (0 is Gauss-Legendre); its Duffy
@@ -320,38 +308,22 @@ class _Engine:
     # ---- singular-point treatment ---------------------------------------
 
     def _treat_center(self, budget, t, br):
-        """Append a Gauss-Jacobi cell [0, u_core] in u, with weight u^(1 - a),
-        on segment t[i] of each branch br[i] that starts at a singular center
-        of order a; return u_core.
-
-        a is exact when every entry at the center gives the same order, else
-        sampled. u_core starts at 1/4, or for a sampled order where its
-        geometric ladder would start, and shrinks by 4 while the cells'
-        summed estimate exceeds the budget.
-        """
-        orders = {o for p, o in self.singular_points if self._at_center(p)}
-        order, exact = self._order(self.center, orders)
+        """Append a Gauss-Jacobi cell [0, u_core] in u, with weight u^(1 - a), on
+        segment t[i] of each branch br[i] that starts at a singular center of
+        order a, the largest its entries give; return u_core, which starts at
+        1/4 and shrinks by 4, to 4^-200 at most, while the cells' summed
+        estimate exceeds the budget."""
+        order = _order(self.center, [o for p, o in self.singular_points if self._at_center(p)])
         t0, t1 = t[:, 0], t[:, 1]
         u0, beta = np.zeros(len(br)), np.full(len(br), 1.0 - order)
         plain = np.full((len(br), 6), np.nan)
-        u_core = 0.25 if exact else 2.0 ** -(8 + 4 * order)
-        for _ in range(200):
+        for u_core in (0.25**k for k in range(1, 201)):
             u1 = np.full(len(br), u_core)
             values = self._values(t0, t1, u0, u1, br, beta, plain)
-            if float(values[1].sum()) <= budget or u_core < 1e-120:
+            if float(values[1].sum()) <= budget:
                 break
-            u_core *= 0.25
         self._append(t0, t1, u0, u1, br, beta, plain, values=values)
         return u_core
-
-    def _order(self, p, orders):
-        """(order, exact) of a singular point with the given entries' orders:
-        exact when all give the same one, else sampled."""
-        exact = None not in orders and len(orders) == 1
-        order = orders.pop() if exact else _estimate_order(self.g, p, self.scale)
-        if order >= 1.995:
-            raise NonIntegrableSingularity(f"singularity at {p} has order {order:.3f} >= 2")
-        return order, exact
 
     def _at_center(self, p):
         """Whether a point is the radial center, up to 1e-12 of the scale."""
@@ -367,10 +339,10 @@ class _Engine:
         orders = {}
         for p, o in self.singular_points:
             if not self._at_center(p) and bool(self.domain.contains(p)):
-                orders.setdefault(p, set()).add(o)
+                orders.setdefault(p, []).append(o)
         found = []
         for p, os in orders.items():
-            order, _ = self._order(p, os)
+            order = _order(p, os)
             loc = self._locate(p)
             if loc is None:
                 continue
@@ -540,10 +512,10 @@ def integrate(
     Returns (value, err) with |value - integral| <= err expected and err <= tol
     on success (tol is absolute). With strict=True a result above tolerance
     raises ToleranceNotMet carrying the best value. Point singularities of g
-    must be listed in singular_points and have integrable order (< 2); g must
-    be evaluable on small rings around them. An entry is a point, whose order
-    is sampled, or a (point, order) pair with the exact order a of
-    |g| ~ |z - point|^(-a) times a smooth factor.
+    must be listed in singular_points as (point, order) pairs, with the
+    exact order a < 2 of |g| ~ |z - point|^(-a) times a smooth factor; a
+    point with several entries takes the largest order. Orders are given,
+    never sampled: an entry that is not a pair raises InvalidParameters.
     """
     eng = _Engine(domain, g, singular_points, tol, rule_order, max_cells)
     value, err = eng.run()
@@ -573,7 +545,7 @@ def build_grid(
     nodes, weights, cells = eng.export_grid()
     return QuadratureGrid(
         domain=domain,
-        singular_points=tuple(p for p, _ in eng.singular_points),
+        singular_points=eng.singular_points,
         tol=float(tol),
         rule_order=int(rule_order),
         cells=cells,

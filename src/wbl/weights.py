@@ -281,20 +281,20 @@ def lelong_number(w: Weight, x: complex) -> float:
     return w.lelong(x)
 
 
-def quadrature_points(w: Weight, f_singularities=()):
-    """The weight's singular points, then the targets'. Each atom of mass nu < 2
-    that is not a target singularity is paired with nu, the exact order there
-    of e^(-phi) times any smooth factor; quadrature samples the order of the
-    others: an atom of mass >= 2 that a divisor's zero partly cancels, and the
-    plain kink 0j of ImAbsPlusPower, sampled at about 0.09, whose u ~ 0.003
-    ladder grades the |z|^p cusp that the norm enclosure's digits rest on."""
-    targets = {complex(p[0] if isinstance(p, tuple) else p) for p in f_singularities}
-    try:
-        atoms = {complex(zi) for zi, _ in w.riesz_atoms() if w.lelong(zi) < 2.0} - targets
-    except UnsupportedMeasure:
-        atoms = set()
-    pts = tuple((zi, w.lelong(zi)) if zi in atoms else zi for zi in w.quadrature_singularities())
-    return pts + tuple(f_singularities)
+def quadrature_points(w: Weight, f_singularities=(), Q: Polynomial | None = None):
+    """(point, order) of w's singular points at their Lelong numbers nu (0 at
+    the |z|^p kink; coincident atoms sum), less 2m for an atom of mass nu >= 2
+    at a zero of Q whose m leading Taylor coefficients are negligible against
+    its largest; then the f_singularities entries as they are, each a (point,
+    order) pair with the order of |f|^2 e^(-phi) there."""
+    pts = []
+    for z in w.quadrature_singularities():
+        nu = w.lelong(z)
+        if nu >= 2.0 and Q is not None:
+            c = np.abs(Q.recenter(z, Q.scale).coeffs)
+            nu -= 2 * int(np.argmax(c > ATOM_TOL * c.max()))
+        pts.append((complex(z), nu))
+    return tuple(pts) + tuple(f_singularities)
 
 
 def mass_on_disc(w: Weight, center: complex, radius: float) -> float:

@@ -182,7 +182,7 @@ def test_criterion_5_poisson_sandwich():
 
 
 def test_criterion_6_potential_bounds():
-    v, e = integrate(UNIT_DISC, lambda z: 1.0 / np.abs(z), (0j,), 1e-7)
+    v, e = integrate(UNIT_DISC, lambda z: 1.0 / np.abs(z), ((0j, 1.0),), 1e-7)
     sharp_err = abs(v.real - 2 * math.pi)
     gen = np.random.default_rng(20240817)
     worst_slack = math.inf

@@ -24,6 +24,7 @@ from wbl import (
 from wbl import bergman
 from wbl.errors import DegenerateWeight
 from wbl.quad import weight_factor
+from wbl.weights import quadrature_points
 
 
 def pole_target(a):
@@ -510,7 +511,7 @@ def test_second_target_column_matches_one_column_factor(unit_disc, monkeypatch, 
     w = on_engine(LogPotential([(0j, 1.5)]))
     first, second = pole_target(2.0), pole_target(1.5j)
     grid = bergman._scan_grid(
-        unit_disc, w, 0j, 1.0, 12, (first, second), w.quadrature_singularities(), 1e-10, 12, 100_000
+        unit_disc, w, 0j, 1.0, 12, (first, second), quadrature_points(w), 1e-10, 12, 100_000
     )
     calls = []
     monkeypatch.setattr(bergman, "_scan_grid", lambda *args: calls.append(args) or grid)
@@ -536,7 +537,7 @@ def test_transposed_assembly_is_bit_identical_to_columnwise(unit_disc, monkeypat
     Q = Polynomial((0.3, -1.0, 0.5j), p, s)
     targets = (pole_target(2.0), pole_target(1.5j))
     grid = bergman._scan_grid(
-        unit_disc, w, p, s, N, targets, w.quadrature_singularities(), 1e-10, 12, 100_000, Q
+        unit_disc, w, p, s, N, targets, quadrature_points(w), 1e-10, 12, 100_000, Q
     )
     leaf = -(-len(grid.nodes) // leaves)
     assert -(-len(grid.nodes) // leaf) == leaves
@@ -718,7 +719,7 @@ def test_rotation_route_is_taken_only_where_monomials_are_orthogonal(unit_disc, 
     assert route(unit_disc, LogPotential([(0.3 + 0.2j, 1.2)])) == "engine"
     assert route(unit_disc, LogPotential([(0j, 1.0)], lambda z: 0.1 * np.real(z), 0.1)) == "engine"
     assert route(unit_moon, ZeroWeight()) == "engine"
-    assert route(unit_disc, ZeroWeight(), f_singularities=(0.5 + 0j,)) == "engine"
+    assert route(unit_disc, ZeroWeight(), f_singularities=((0.5 + 0j, 0.0),)) == "engine"
     assert route(unit_disc, ZeroWeight(), p=0j, s=1.0, divisor_Q=Polynomial((0, 1, 1))) == "engine"
     assert route(unit_disc, ZeroWeight(), p=0j, s=1.0, divisor_Q=Polynomial((0, 0, 2))) == "engine"
     vanishing = best_poly_approx(

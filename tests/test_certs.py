@@ -37,9 +37,16 @@ from wbl.errors import (
 
 
 def test_cp_constant_values():
+    """C_p is within an ulp of the 40-digit 2 / cos(p pi / 2) as p nears 1,
+    and the correctly rounded sqrt(8) at 1/2."""
     assert cp_constant(0.5) == pytest.approx(2 * math.sqrt(2), rel=1e-12)
     assert cp_constant(1e-9) == pytest.approx(2.0, rel=1e-9)
     assert cp_constant(0.9) == pytest.approx(2 / math.cos(0.45 * math.pi), rel=1e-12)
+    assert cp_constant(0.5) == math.sqrt(8.0)
+    with mpmath.workdps(40):
+        for p in (0.05, 0.3, 0.5, 0.65, 0.75, 0.9, 0.97, 0.99, 0.999):
+            exact = float(2 / mpmath.cos(mpmath.mpf(p) * mpmath.pi / 2))
+            assert abs(cp_constant(p) - exact) <= math.ulp(exact), p
 
 
 def test_cp_constant_range():
@@ -312,9 +319,11 @@ def test_threshold_is_the_last_root_of_the_gap(p):
         assert _gap_mp(cert, cert.Y) > 0 >= _gap_mp(cert, cert.Y * (1.0 - 1e-9)), (p, M)
 
 
-def test_threshold_matches_the_sampled_search():
+def test_threshold_matches_the_sampled_search(monkeypatch):
     """Y is bit-identical to the grid search's on the sweep, except the
-    entries named in _Y_MOVED, which stay within 3 ulps of it."""
+    entries named in _Y_MOVED, which stay within 3 ulps of it. The table was
+    found with C_p = 2 / cos(p pi / 2), so the search runs with that constant."""
+    monkeypatch.setattr(wbl.certs, "cp_constant", lambda p: 2.0 / math.cos(0.5 * math.pi * p))
     wrong = []
     for p, ys in _Y_FROZEN.items():
         for M, y_old in zip(_SWEEP_M, ys):
@@ -349,14 +358,37 @@ def test_quadrant_area():
 
 
 def test_quadrant_enclosure_matches_the_full_disc():
-    """Four times the quadrant's closed-form integral is the full disc's norm
-    of cos(z/2), within the sum of the two error estimates."""
+    """Four times the quadrant's integral, taken in the radial variable
+    |z|^p, is the full disc's norm of cos(z/2), within the sum of the two
+    error estimates."""
     disc, disc_err = weighted_norm_sq(
         lambda z: np.cos(0.5 * z), TruncatedPlane(20.0), ImAbsPlusPower(0.3), 1e-6
     )
     enc = cos_half_norm_enclosure(0.3, 20.0, 1e-6)
     assert enc["trunc_err"] <= 1e-6
     assert abs(enc["trunc_value"] - disc) <= enc["trunc_err"] + disc_err
+
+
+# ||cos(z/2)||^2 over |z| < 40 under |Im z| + |z|^p: the integral of
+# perfbench/oracles.py cos_half_truncated_norm at 20 digits, with 13 radial
+# and 5 angular breakpoints
+_ENCLOSURE_REF = {0.3: 99.729790045597074, 0.5: 17.723389059365244, 0.7: 4.9165083756868467}
+
+
+@pytest.mark.parametrize("tol", [1e-4, 1e-6])
+@pytest.mark.parametrize("p", sorted(_ENCLOSURE_REF))
+def test_norm_enclosure_brackets_the_reference(p, tol):
+    """In the radial variable |z|^p the cusp is smooth: the error is within
+    trunc_err, and the enclosure holds the truncated norm on both sides."""
+    ref = _ENCLOSURE_REF[p]
+    enc = cos_half_norm_enclosure(p, 40.0, tol)
+    assert abs(enc["trunc_value"] - ref) <= enc["trunc_err"] <= tol
+    assert enc["norm_sq_lower"] <= ref <= enc["norm_sq_upper"] - enc["tail"]
+
+
+def test_norm_enclosure_accuracy_at_the_benchmark_tol():
+    enc = cos_half_norm_enclosure(0.5, 40.0, 1e-4)
+    assert enc["trunc_value"] == pytest.approx(_ENCLOSURE_REF[0.5], rel=1e-10)
 
 
 def test_norm_enclosure_and_derived_certificate():

@@ -142,6 +142,17 @@ def test_poisson_check_subcommand(tmp_path):
     assert doc["violations"] == 0 and doc["n_samples"] == 25
 
 
+@pytest.mark.parametrize("p", [0.97, 0.99])
+def test_poisson_check_upper_margin_near_p_one(tmp_path, p):
+    """The upper margin is exactly 2 where the samples come near x = 0; with
+    C_p in sine form it stays within 2 ulps of the floats just below 2, where
+    2 / cos(p pi / 2) read 2.000000000000001 and 2.000000000000005."""
+    rc = main(["poisson-check", "--p", str(p), "--samples", "100", "--out", str(tmp_path)])
+    assert rc == 0
+    doc = json.loads((tmp_path / "poisson_check.json").read_text())
+    assert abs(doc["min_upper_margin"] - 2.0) <= 2 * math.ulp(1.5)
+
+
 @pytest.mark.parametrize("samples", ["0", "-3"])
 def test_poisson_check_rejects_too_few_samples(tmp_path, capsys, samples):
     """No samples would report an infinite margin as a pass; negative counts

@@ -13,6 +13,7 @@ from wbl import (
     LogPotential,
     TruncatedPlane,
     ZeroWeight,
+    best_poly_approx,
     build_grid,
     gram_matrix,
     integrate,
@@ -23,7 +24,13 @@ from wbl import (
 )
 from wbl import quad
 from wbl.quad import _gauss, inner_product, weight_factor
-from wbl.errors import NonIntegrableSingularity, ToleranceNotMet, UnsupportedGrowth
+from wbl.weights import quadrature_points
+from wbl.errors import (
+    InvalidParameters,
+    NonIntegrableSingularity,
+    ToleranceNotMet,
+    UnsupportedGrowth,
+)
 
 ONE = lambda z: np.ones(z.shape)
 
@@ -34,13 +41,13 @@ def test_unit_disc_area(unit_disc):
 
 
 def test_inverse_abs_singularity(unit_disc):
-    v, e = integrate(unit_disc, lambda z: 1 / np.abs(z), (0j,), 1e-8)
+    v, e = integrate(unit_disc, lambda z: 1 / np.abs(z), ((0j, 1.0),), 1e-8)
     assert v.real == pytest.approx(2 * math.pi, abs=1e-8)
     assert e <= 1e-8
 
 
 def test_power_singularity(unit_disc):
-    v, e = integrate(unit_disc, lambda z: np.abs(z) ** -1.5, (0j,), 1e-8)
+    v, e = integrate(unit_disc, lambda z: np.abs(z) ** -1.5, ((0j, 1.5),), 1e-8)
     assert v.real == pytest.approx(4 * math.pi, abs=2e-8)
 
 
@@ -87,7 +94,7 @@ def test_additive_over_disjoint_split(figure_moon):
 def test_center_grading_on_two_branch_domain(figure_moon, alpha, ref):
     """A singular radial center on a moon: only branch 0 starts at the center
     and is cut into rungs; the second branch keeps one cell per segment."""
-    v, e = integrate(figure_moon, lambda z: np.abs(z) ** -alpha, (0j,), 1e-10)
+    v, e = integrate(figure_moon, lambda z: np.abs(z) ** -alpha, ((0j, alpha),), 1e-10)
     assert abs(v.real - ref) <= e <= 1e-10
 
 
@@ -140,7 +147,7 @@ def test_center_core_budget_counted_once(unit_disc, monkeypatch):
         return treat(self, budget, *args)
 
     monkeypatch.setattr(quad._Engine, "_treat_center", record)
-    integrate(unit_disc, lambda z: np.abs(z) ** -1, (0j,), 1e-8)
+    integrate(unit_disc, lambda z: np.abs(z) ** -1, ((0j, 1.0),), 1e-8)
     assert budgets == [pytest.approx(2.5e-9, rel=1e-15)]
 
 
@@ -175,7 +182,7 @@ def test_refinement_convergence(unit_disc):
     """Halving tol never worsens the error on a closed-form case."""
     errors = []
     for tol in (1e-4, 5e-5, 2.5e-5, 1e-6, 1e-8):
-        v, _ = integrate(unit_disc, lambda z: np.abs(z) ** -1.5, (0j,), tol)
+        v, _ = integrate(unit_disc, lambda z: np.abs(z) ** -1.5, ((0j, 1.5),), tol)
         errors.append(abs(v.real - 4 * math.pi))
     assert all(b <= a + 1e-14 for a, b in zip(errors, errors[1:]))
 
@@ -184,14 +191,25 @@ def test_deterministic_reruns(unit_moon):
     def g(z):
         return np.abs(z) ** -0.5 * np.exp(1j * z).real
 
-    v1, e1 = integrate(unit_moon, g, (0j,), 1e-9)
-    v2, e2 = integrate(unit_moon, g, (0j,), 1e-9)
+    v1, e1 = integrate(unit_moon, g, ((0j, 0.5),), 1e-9)
+    v2, e2 = integrate(unit_moon, g, ((0j, 0.5),), 1e-9)
     assert v1 == v2 and e1 == e2
 
 
 def test_non_integrable_singularity_detected(unit_disc):
+    """A point with several entries takes the largest order, here 2.2."""
     with pytest.raises(NonIntegrableSingularity):
-        integrate(unit_disc, lambda z: np.abs(z) ** -2.2, (0j,), 1e-6)
+        integrate(unit_disc, lambda z: np.abs(z) ** -2.2, ((0j, 0.5), (0j, 2.2)), 1e-6)
+
+
+def test_plain_singular_point_is_rejected(unit_disc):
+    """Orders are given, never sampled: a point without one is invalid."""
+    with pytest.raises(InvalidParameters):
+        integrate(unit_disc, lambda z: np.abs(z) ** -1.5, (0j,), 1e-8)
+    with pytest.raises(InvalidParameters):
+        build_grid(unit_disc, lambda z: np.abs(z - 0.3) ** -1.0, (0.3 + 0j,), 1e-8)
+    with pytest.raises(InvalidParameters):
+        best_poly_approx(lambda z: 1 / (z - 2), unit_disc, ZeroWeight(), f_singularities=(0.5,))
 
 
 def test_non_integrable_exact_order_detected(unit_disc):
@@ -204,7 +222,7 @@ def test_strict_tolerance_raises(unit_disc):
         integrate(
             unit_disc,
             lambda z: 1 / np.abs(z - 0.3),
-            (0.3 + 0j,),
+            ((0.3 + 0j, 1.0),),
             1e-14,
             max_cells=64,
             strict=True,
@@ -278,7 +296,7 @@ def test_truncated_plane_weighted_norm():
 
 def test_atom_off_center(unit_disc):
     """Interior singular point away from the radial center."""
-    v, e = integrate(unit_disc, lambda z: np.abs(z - 0.4) ** -1.0, (0.4 + 0j,), 1e-6)
+    v, e = integrate(unit_disc, lambda z: np.abs(z - 0.4) ** -1.0, ((0.4 + 0j, 1.0),), 1e-6)
     # oracle: Monte-Carlo at 3-sigma, plus the exact centered value as scale
     gen = np.random.default_rng(99)
     zs = gen.uniform(-1, 1, (400_000, 2))
@@ -289,7 +307,7 @@ def test_atom_off_center(unit_disc):
     sigma = vals.std() / math.sqrt(len(vals)) * math.pi
     assert abs(v.real - mc) <= 4 * sigma + 1e-6
 
-    # order 1.4, sampled, at tol 1e-10: no exported node comes near the atom
+    # order 1.4 at tol 1e-10: no exported node comes near the atom
     # or into the capped zone of weight_factor. The second atom lies 1e-3
     # rad from the initial theta edge 5 pi / 4, the third on the edge pi / 4.
     # exact: int_0^2pi R(t)^0.6 dt / 0.6 (mpmath), R(t) the distance from z0
@@ -301,7 +319,7 @@ def test_atom_off_center(unit_disc):
     ):
         w = LogPotential([(z0, 1.4)])
         grid = build_grid(
-            unit_disc, lambda z: weight_factor(w, z), w.quadrature_singularities(), 1e-10,
+            unit_disc, lambda z: weight_factor(w, z), quadrature_points(w), 1e-10,
             max_cells=2000,
         )
         assert np.max(-w.evaluate(grid.nodes)) < 700
@@ -321,7 +339,7 @@ def test_atom_on_theta_edge(unit_disc):
     for z0 in (0.3 * cmath.exp(0.25j * math.pi), 0.3 * cmath.exp(1j * (0.25 * math.pi + 1e-7))):
         w = LogPotential([(z0, 1.2)])
         grid = build_grid(
-            unit_disc, lambda z: weight_factor(w, z), w.quadrature_singularities(), 1e-10,
+            unit_disc, lambda z: weight_factor(w, z), quadrature_points(w), 1e-10,
             max_cells=2000,
         )
         # exact: int_0^2pi R(t)^0.8 dt / 0.8 (mpmath), R(t) as in test_atom_off_center
@@ -425,7 +443,7 @@ def test_offcenter_atom_converges_at_tight_tol(unit_disc):
     bounded by an excluded core, is integrated to its tol in few cells."""
     z0 = 0.3 + 0.2j
     w = LogPotential([(z0, 1.4)])
-    grid = build_grid(unit_disc, lambda z: weight_factor(w, z), w.quadrature_singularities(), 1e-12)
+    grid = build_grid(unit_disc, lambda z: weight_factor(w, z), quadrature_points(w), 1e-12)
     # exact as in test_atom_off_center
     assert abs(grid.value.real - 10.174235467232133) <= grid.error_estimate
     assert grid.error_estimate <= 1e-12 * grid.value.real
@@ -460,10 +478,10 @@ def test_two_atoms_get_disjoint_boxes(unit_disc, points, alphas, exact):
 
 
 def test_sampled_order_off_center(unit_disc):
-    """An off-centre point given without its order gets the Duffy box at its
-    sampled order and meets the 1-D reference."""
+    """An off-centre point given with its exact order 1.5 gets the Duffy box
+    at that order and meets the 1-D reference."""
     z0 = -0.35 + 0.45j
-    v, e = integrate(unit_disc, lambda z: np.abs(z - z0) ** -1.5, (z0,), 1e-9)
+    v, e = integrate(unit_disc, lambda z: np.abs(z - z0) ** -1.5, ((z0, 1.5),), 1e-9)
     # int_0^2pi R(t)^0.5 dt / 0.5 (mpmath), R(t) as in test_atom_off_center
     assert abs(v.real - 11.700863899987847) <= e <= 1e-9
 

@@ -58,11 +58,28 @@ def test_lelong_additive_over_sums(rng):
 
 
 def test_quadrature_points_order_rule():
-    """An atom of mass below 2 gets its Lelong number; a heavier one, and a
-    target singularity, stay plain points whose order quadrature samples."""
+    """Every atom gets its Lelong number, a heavy one too, coincident atoms
+    their summed mass, and the |z|^p kink 0; a target's (point, order)
+    entries follow the weight's as they are."""
     w = LogPotential([(0.3, 1.2), (0j, 2.5)])
-    assert quadrature_points(w) == ((0.3, 1.2), 0j)
-    assert quadrature_points(w, (0.3,)) == (0.3, 0j, 0.3)
+    assert quadrature_points(w) == ((0.3, 1.2), (0j, 2.5))
+    assert quadrature_points(w, ((0.3, 1.5),)) == ((0.3, 1.2), (0j, 2.5), (0.3, 1.5))
+    w = LogPotential([(0.2j, 0.75), (0.2j, 0.5)])
+    assert quadrature_points(w) == ((0.2j, 1.25), (0.2j, 1.25))
+    assert quadrature_points(ImAbsPlusPower(0.5)) == ((0j, 0.0),)
+
+
+def test_quadrature_points_divisor_cancels_heavy_atoms():
+    """With Q = z^2, an atom of mass 2.5 at its double zero has order
+    2.5 - 4 = -1.5; an atom of mass below 2 keeps its mass, at a zero of Q
+    or not, and so does a heavy atom where Q does not vanish."""
+    Q = Polynomial((0, 0, 1))
+    w = LogPotential([(0j, 2.5), (0.5, 2.5)])
+    assert quadrature_points(w, (), Q) == ((0j, -1.5), (0.5, 2.5))
+    assert quadrature_points(LogPotential([(0j, 1.5)]), (), Q) == ((0j, 1.5),)
+    # (z/2 - 1/2)^2 in its own scaled basis: a double zero at z = 1
+    shifted = Polynomial((0.25, -1.0, 1.0), 0j, 2.0)
+    assert quadrature_points(LogPotential([(1 + 0j, 3.0)]), (), shifted) == ((1 + 0j, -1.0),)
 
 
 def test_mass_on_disc_examples():
