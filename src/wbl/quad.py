@@ -10,7 +10,9 @@ Each cell carries a tensor Gauss rule: Gauss-Legendre in theta, and in u
 Gauss-Legendre or, on the innermost cell of a branch that starts at a
 singular radial center, Gauss-Jacobi with weight u^(1 - a) for the
 singularity's order a (Golub & Welsch, Math. Comp. 23, 1969). There the
-integrand times the Jacobian is u^(1 - a) times a function smooth in u.
+integrand times the Jacobian is u^(1 - a) times a function smooth in u. That
+cell starts as [0, 1/4] and is refined in the same loop as every other cell,
+but halved in u only, its lower half keeping the Jacobi rule.
 A marked singular point off the center is the apex of eight Duffy triangles
 (Duffy, SIAM J. Numer. Anal. 19(6), 1982) that tile a small box around it,
 near-square in physical units. Each triangle is a cell in local coordinates
@@ -282,9 +284,9 @@ class _Engine:
             fine = fine + part
         return fine, np.abs(fine - coarse)
 
-    def _append(self, *cells, values=None):
-        """Add cells, valued by _values unless their (values, estimates) are given."""
-        val, est = self._values(*cells) if values is None else values
+    def _append(self, *cells):
+        """Add cells, valued by _values."""
+        val, est = self._values(*cells)
         for name, new in zip(_CELL_FIELDS, cells + (val, est)):
             setattr(self, name, np.concatenate([getattr(self, name), new]))
 
@@ -306,24 +308,6 @@ class _Engine:
         return 2 * d_t >= d_u, 2 * d_u >= d_t
 
     # ---- singular-point treatment ---------------------------------------
-
-    def _treat_center(self, budget, t, br):
-        """Append a Gauss-Jacobi cell [0, u_core] in u, with weight u^(1 - a), on
-        segment t[i] of each branch br[i] that starts at a singular center of
-        order a, the largest its entries give; return u_core, which starts at
-        1/4 and shrinks by 4, to 4^-200 at most, while the cells' summed
-        estimate exceeds the budget."""
-        order = _order(self.center, [o for p, o in self.singular_points if self._at_center(p)])
-        t0, t1 = t[:, 0], t[:, 1]
-        u0, beta = np.zeros(len(br)), np.full(len(br), 1.0 - order)
-        plain = np.full((len(br), 6), np.nan)
-        for u_core in (0.25**k for k in range(1, 201)):
-            u1 = np.full(len(br), u_core)
-            values = self._values(t0, t1, u0, u1, br, beta, plain)
-            if float(values[1].sum()) <= budget:
-                break
-        self._append(t0, t1, u0, u1, br, beta, plain, values=values)
-        return u_core
 
     def _at_center(self, p):
         """Whether a point is the radial center, up to 1e-12 of the scale."""
@@ -422,35 +406,25 @@ class _Engine:
         flat = sorted(flat)
         edges = [(b0 + a, b0 + b) for a, b in zip(flat[:-1], flat[1:]) if b > a]
 
-        # one initial cell per (theta segment, branch), segment-major
+        # one initial cell per (theta segment, branch), segment-major; a branch
+        # that starts at a singular center of order a, the largest its entries
+        # give, is [1/4, 1] in u, and its Gauss-Jacobi cell [0, 1/4], with
+        # weight u^(1 - a), goes ahead of every initial cell
         seg = np.array(edges)
         t = np.repeat(seg, self.nb, axis=0)
         br = np.tile(np.arange(self.nb), len(edges))
-        u0, u1 = np.zeros(len(br)), np.ones(len(br))
-        center_in = any(self._at_center(p) for p, _ in self.singular_points)
-        if center_in and bool(self.domain.contains(self.center)):
-            budget = 0.25 * self.tol
-            if self.relative:
-                # the core budget is fixed before refinement, so it takes the
-                # mass from one Gauss-Legendre rule on each initial cell
-                gl, plain = np.zeros(len(br)), np.full((len(br), 6), np.nan)
-                budget *= abs(complex(self._rule(t[:, 0], t[:, 1], u0, u1, br, gl, plain).sum()))
-            # a branch starting at the center gets a Gauss-Jacobi cell at
-            # u = 0, then the rungs of a geometric u-ladder up to 1, kept in
-            # order after its segment and branch
+        u0, u1, beta = np.zeros(len(br)), np.ones(len(br)), np.zeros(len(br))
+        at_center = [o for p, o in self.singular_points if self._at_center(p)]
+        if at_center and bool(self.domain.contains(self.center)):
+            a = _order(self.center, at_center)
             mid = self.domain.radial_sections(0.5 * (seg[:, 0] + seg[:, 1]))
             starts = mid[:, :, 0].ravel() == 0.0
-            ladder = [self._treat_center(budget, t[starts], br[starts])]
-            while ladder[-1] < 1.0:
-                ladder.append(min(1.0, ladder[-1] * 4.0))
-            ladder = np.array(ladder)
-            reps = np.where(starts, len(ladder) - 1, 1)
-            rung = np.arange(reps.sum()) - np.repeat(np.cumsum(reps) - reps, reps)
-            graded = np.repeat(starts, reps)
-            t, br = np.repeat(t, reps, axis=0), np.repeat(br, reps)
-            u0 = np.where(graded, ladder[rung], 0.0)
-            u1 = np.where(graded, ladder[rung + 1], 1.0)
-        self._append(t[:, 0], t[:, 1], u0, u1, br, np.zeros(len(br)), np.full((len(br), 6), np.nan))
+            k = int(starts.sum())
+            t, br = np.concatenate([t[starts], t]), np.concatenate([br[starts], br])
+            u0 = np.concatenate([np.zeros(k), np.where(starts, 0.25, 0.0)])
+            u1 = np.concatenate([np.full(k, 0.25), u1])
+            beta = np.concatenate([np.full(k, 1.0 - a), beta])
+        self._append(t[:, 0], t[:, 1], u0, u1, br, beta, np.full((len(br), 6), np.nan))
 
         for th, u, b, ht, hu, beta in boxes:
             self._place_box(b0 + th, u, b, ht, hu, beta)
@@ -476,7 +450,11 @@ class _Engine:
             sel = order[: min(512, order.size, self.max_cells - n + 1)]
             cells = tuple(getattr(self, name)[sel] for name in _CELL_FIELDS[:7])
             self._drop(sel)
-            children = self._children(*cells, *(self._cuts(*cells) if boxes else ()))
+            cut_t, cut_u = self._cuts(*cells) if boxes else (True, True)
+            # a plain Gauss-Jacobi cell is halved in u only: its error sits at
+            # the center, its edge u = 0, which a theta cut does not shrink
+            jacobi = (cells[5] != 0.0) & np.isnan(cells[6][:, 0])
+            children = self._children(*cells, cut_t & ~jacobi, cut_u | jacobi)
             keep = (children[1] > children[0]) & (children[3] > children[2])
             self._append(*(a[keep] for a in children))
 

@@ -137,11 +137,34 @@ def test_atom_scan_at_rounding_floor(unit_disc, a):
     assert np.max(np.abs(scan.distances - oracle)[resolved] / oracle[resolved]) <= 5e-7
 
 
+# density_scan of 1/(z - 1.3) on Moon(Disc(0, 2), Disc(1.3, 0.7)) with zero
+# weight, N_max 25, at tol 1e-13, rule order 20 and s = |p| + 2
+_MOON_POLE_SCAN_REF = [
+    1.8326829388754935, 1.682120662963049, 1.5976517531720433, 1.5427015013594254,
+    1.5037638812163916, 1.4745776031347821, 1.451808762243156, 1.4335062682531738,
+    1.418446727394673, 1.4058214750664102, 1.3950732028137196, 1.3858045911764671,
+    1.377724310403564, 1.370613625975766, 1.3643049483763197, 1.3586676037468934,
+    1.3535981290900412, 1.3490134915500944, 1.3448462491320332, 1.3410410314439656,
+    1.337551937094902, 1.334340579765941, 1.3313746011769596, 1.3286265253122396,
+    1.3260728655836482, 1.3236934218748961,
+]
+
+
+def test_moon_scan_across_the_kinks_meets_the_reference():
+    """The two-branch moon's sqrt kinks are graded in theta; at tol 1e-8 the
+    scan's every d_k is within 1e-6 of the fine scan, so a change to that
+    grading must resolve degree 25 as well as the area."""
+    moon = Moon(Disc(0j, 2.0), Disc(1.3 + 0j, 0.7))
+    scan = density_scan(pole_target(1.3), moon, ZeroWeight(), N_max=25, tol=1e-8, rule_order=12)
+    ref = np.array(_MOON_POLE_SCAN_REF)
+    assert np.max(np.abs(scan.distances - ref) / ref) <= 1e-6
+
+
 @pytest.mark.parametrize("a", [2.0, -1.5j, 1.2 - 1.6j])
 def test_centred_atom_scan_on_gauss_jacobi_grid(unit_disc, monkeypatch, a):
     """The atom's Lelong number is the exact order at the center, so the
-    scan's grid has one Gauss-Jacobi cell and one rung per theta segment, and
-    its distances match the series oracle."""
+    scan's grid has one Gauss-Jacobi cell [0, 1/4] and one cell [1/4, 1] per
+    theta segment, and its distances match the series oracle."""
     grids = []
     build_grid = bergman.build_grid
 

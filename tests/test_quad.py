@@ -15,6 +15,7 @@ from wbl import (
     ZeroWeight,
     best_poly_approx,
     build_grid,
+    density_scan,
     gram_matrix,
     integrate,
     integrate_1d,
@@ -93,7 +94,8 @@ def test_additive_over_disjoint_split(figure_moon):
 )
 def test_center_grading_on_two_branch_domain(figure_moon, alpha, ref):
     """A singular radial center on a moon: only branch 0 starts at the center
-    and is cut into rungs; the second branch keeps one cell per segment."""
+    and gets a Gauss-Jacobi cell [0, 1/4] below a cell [1/4, 1]; the second
+    branch keeps one cell per segment."""
     v, e = integrate(figure_moon, lambda z: np.abs(z) ** -alpha, ((0j, alpha),), 1e-10)
     assert abs(v.real - ref) <= e <= 1e-10
 
@@ -133,22 +135,37 @@ def test_center_integrated_by_gauss_jacobi_at_exact_order(unit_disc, alpha):
     inner = grid.cells.u0 < 0.25
     assert np.all(grid.cells.u0[inner] == 0.0) and np.all(grid.cells.u1[inner] == 0.25)
     assert inner.sum() == 8
-    # the 8 rungs [1/4, 1] are split once for the |z|^40 term at rule order 12
+    # the 8 cells [1/4, 1] are split once for the |z|^40 term at rule order 12
     assert grid.n_cells <= 40
 
 
-def test_center_core_budget_counted_once(unit_disc, monkeypatch):
-    """A lone singular center gets the whole core budget 0.25 tol."""
-    budgets = []
-    treat = quad._Engine._treat_center
+# density_scan of cos(z/2) over TruncatedPlane(40) under |Im z| + |z|^(1/2),
+# N_max 20, at tol 1e-11, rule order 16 and max_cells 200,000
+_COS_HALF_SCAN_REF = [
+    4.163737790277986, 4.163737790277986, 4.156408022309321, 4.156408022309321,
+    4.133596079456232, 4.133596079456232, 4.123455594810921, 4.123455594810921,
+    4.0977168881928465, 4.0977168881928465, 4.031167959997707, 4.031167959997707,
+    3.993434247233861, 3.993434247233861, 3.957388597512635, 3.957388597512635,
+    3.822826685942233, 3.822826685942233, 3.4561578182915227, 3.4561578182915227,
+    2.8507108633676648,
+]
 
-    def record(self, budget, *args):
-        budgets.append(budget)
-        return treat(self, budget, *args)
 
-    monkeypatch.setattr(quad._Engine, "_treat_center", record)
-    integrate(unit_disc, lambda z: np.abs(z) ** -1, ((0j, 1.0),), 1e-8)
-    assert budgets == [pytest.approx(2.5e-9, rel=1e-15)]
+def test_centre_cells_refine_to_the_scan_reference():
+    """The criterion-7 scan: the Gauss-Jacobi cells at the |z|^p kink refine
+    in the one adaptive loop against the grid's relative tol, so every d_k
+    is within 1e-6 of the fine scan."""
+    scan = density_scan(
+        lambda z: np.cos(0.5 * np.asarray(z, dtype=complex)),
+        TruncatedPlane(40.0),
+        ImAbsPlusPower(0.5),
+        N_max=20,
+        tol=1e-6,
+        rule_order=12,
+        max_cells=60_000,
+    )
+    ref = np.array(_COS_HALF_SCAN_REF)
+    assert np.max(np.abs(scan.distances - ref) / ref) <= 1e-6
 
 
 @pytest.mark.parametrize(
@@ -158,8 +175,8 @@ def test_center_core_budget_counted_once(unit_disc, monkeypatch):
     [((1.5, 0.3), 0.1, 1e-8, 19.633179824788634), ((0.5, 0.2), 0.2, 1e-3, 4.765563280542095)],
 )
 def test_atom_near_singular_center(unit_disc, orders, point, tol, ref):
-    """An atom in [0, 1/4] of the radius: the center's Gauss-Jacobi cells
-    shrink past it at 1e-8, but hold it at 1e-3, where the parts at u = 0 of
+    """An atom in [0, 1/4] of the radius: the center's Gauss-Jacobi cells are
+    halved in u past it at 1e-8, but hold it at 1e-3, where the parts at u = 0 of
     the cells its Duffy box overlaps keep the Jacobi rule."""
 
     def g(z):
@@ -282,16 +299,28 @@ def test_integrate_1d_basics():
     assert e <= 1e-11
 
 
+# ||cos(z/2)||^2 over |z| < 40 under |Im z| + |z|^(1/2): _ENCLOSURE_REF[0.5]
+# of test_certs.py, an mpmath integral at 20 digits
+_COS_HALF_NORM_REF = 17.723389059365244
+
+
 def test_truncated_plane_weighted_norm():
+    """The norm in z, with the kink at the radial center, is within its
+    estimate of the reference at each tol; the center's Gauss-Jacobi cells
+    are halved in u only, so each initial theta segment keeps one of them."""
     w = ImAbsPlusPower(0.5)
     dom = TruncatedPlane(40.0)
-    v, e = weighted_norm_sq(
-        lambda z: np.cos(0.5 * np.asarray(z, dtype=complex)), dom, w, 1e-4, rule_order=12
-    )
-    # frozen reference from this engine, cross-checked against a cartesian
-    # midpoint-grid oracle (rel. 1e-5) during development
-    assert v == pytest.approx(17.723388, rel=2e-4)
-    assert e <= 1e-4
+    f = lambda z: np.cos(0.5 * np.asarray(z, dtype=complex))
+    pilot = lambda z: np.abs(f(z)) ** 2 * weight_factor(w, z)
+    for tol, rule_order in ((1e-4, 12), (1e-6, 8), (1e-8, 8)):
+        v, e = weighted_norm_sq(f, dom, w, tol, rule_order=rule_order)
+        assert abs(v - _COS_HALF_NORM_REF) <= e <= tol, tol
+
+        cells = build_grid(dom, pilot, quadrature_points(w, ()), tol, rule_order).cells
+        inner = cells.u0 == 0.0
+        assert inner.sum() == 8, tol
+        assert np.allclose(np.sort(cells.t0[inner]), np.arange(8) * math.pi / 4)
+        assert np.allclose(cells.t1[inner] - cells.t0[inner], math.pi / 4)
 
 
 def test_atom_off_center(unit_disc):
