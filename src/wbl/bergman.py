@@ -20,7 +20,8 @@ R comes by one of two routes, chosen from the inputs:
 - everything else: an R-only Householder QR of the weighted evaluation
   matrix at the nodes of an adapted grid. The tall, skinny QR is a tree of
   cache-sized leaves reduced pairwise (TSQR), which keeps distances near
-  1e-10 d_0 at the rounding level of a single QR.
+  1e-10 d_0 at the rounding level of a single QR. Every QR runs on one BLAS
+  thread (_qr_r), so R does not depend on the thread count.
 
 Each result names its route, with the rotation route's final angle and
 radius counts.
@@ -28,8 +29,13 @@ radius counts.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 import math
+import threading
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -273,7 +279,64 @@ def _residual_factor(E):
     target, its norm, summed by numpy so that no BLAS call rounds it."""
     if len(E) == 1:
         return math.sqrt(float((np.abs(E) ** 2).sum()))
-    return np.linalg.qr(E.reshape(len(E), -1).T, mode="r")
+    return _qr_r(E.reshape(len(E), -1).T)
+
+
+@functools.lru_cache(maxsize=1)
+def _openblas_threads():
+    """(get, set) of the thread count of the OpenBLAS bundled with numpy, or None."""
+    for path in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas*")):
+        try:
+            lib = ctypes.CDLL(str(path))
+        except OSError:
+            continue
+        for stem, suffix in (("scipy_openblas", "64_"), ("scipy_openblas", ""), ("openblas", "")):
+            get = getattr(lib, f"{stem}_get_num_threads{suffix}", None)
+            put = getattr(lib, f"{stem}_set_num_threads{suffix}", None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                return get, put
+    return None
+
+
+_PIN_LOCK = threading.Lock()
+_pin_depth = 0
+_pin_threads = 0
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block on one BLAS thread, then restore the count. OpenBLAS
+    threads the products inside its Householder QR, so R's last bits would
+    depend on the thread count. The pin is process-wide, and numpy releases
+    the GIL inside LAPACK, so blocks may overlap across Python threads: under
+    a lock, the first entry reads the count and sets 1, and the last exit
+    restores it. Without a known OpenBLAS the count is left as it is."""
+    global _pin_depth, _pin_threads
+    fns = _openblas_threads()
+    if fns is None:
+        yield
+        return
+    get, put = fns
+    with _PIN_LOCK:
+        if _pin_depth == 0:
+            _pin_threads = get()
+            put(1)
+        _pin_depth += 1
+    try:
+        yield
+    finally:
+        with _PIN_LOCK:
+            _pin_depth -= 1
+            if _pin_depth == 0:
+                put(_pin_threads)
+
+
+def _qr_r(a):
+    """R of the QR of a, on one BLAS thread."""
+    with _one_blas_thread():
+        return np.linalg.qr(a, mode="r")
 
 
 def _unit_cond(R):
@@ -344,10 +407,10 @@ def _blocked_lsq(grid, w, p, s, N, targets, Q=None):
         for j, f in enumerate(targets, N + 1):
             T[j] = f(nodes)
         T *= sqw
-        factors.append(np.linalg.qr(T.T, mode="r"))
+        factors.append(_qr_r(T.T))
     while len(factors) > 1:
         paired = [
-            np.linalg.qr(np.vstack(factors[i : i + 2]), mode="r")
+            _qr_r(np.vstack(factors[i : i + 2]))
             for i in range(0, len(factors) - 1, 2)
         ]
         factors = paired + factors[2 * len(paired) :]
@@ -485,7 +548,7 @@ def extremal_basis(
     if gram is None:
         gram = gram_matrix(domain, w, p, s, N, tol, **kw)
     N = gram.degree
-    U = np.linalg.qr(gram.factor[:, ::-1], mode="r").conj()
+    U = _qr_r(gram.factor[:, ::-1]).conj()
     d = np.diag(U)
     if not np.all(np.isfinite(d) & (d != 0)):
         raise IllConditioned(f"Gram factor is singular (cond ~ {gram.cond_estimate:.2e})")

@@ -180,9 +180,9 @@ class NonDensityCertificate:
     C_1: float
     Y: float
     epsilon0_sq: float
-    gap_samples: int
     log_epsilon0_sq: float
     underflow: bool
+    gap_proof: dict
 
     def gap(self, r):
         """r/4 - log(1 + 4 exp(C_1 + C_p r^p)); positive for all r >= Y."""
@@ -201,19 +201,45 @@ def _gap(r, p, c_p, c_1):
 
 
 _Y_CAP = 1e6
+_PI_HI = math.nextafter(math.pi, math.inf)  # math.pi < pi < _PI_HI
+
+
+def _dn(x, steps=1):
+    """x moved `steps` floats down, and by _up up: one step covers an IEEE
+    + - * / rounded to nearest, two a libm call within 2 ulps of the truth."""
+    for _ in range(steps):
+        x = math.nextafter(x, -math.inf)
+    return x
+
+
+def _up(x, steps=1):
+    return -_dn(-x, steps)
+
+
+def _gap_bounds(r, p, cp, c14):
+    """[lo, hi] around g(r) at a float r, from [lo, hi] around C_p and around
+    C_1 + log 4 > 0: log(1 + e^h) = h + log1p(e^-h) rises with h."""
+    rp = math.pow(r, p)
+    h = (_dn(c14[0] + _dn(cp[0] * _dn(rp, 2))), _up(c14[1] + _up(cp[1] * _up(rp, 2))))
+    soft = (_dn(h[0] + _dn(math.log1p(_dn(math.exp(-h[0]), 2)), 2)),
+            _up(h[1] + _up(math.log1p(_up(math.exp(-h[1]), 2)), 2)))
+    return _dn(0.25 * r - soft[1]), _up(0.25 * r - soft[0])
 
 
 def nondensity_certificate(p: float, M: float) -> NonDensityCertificate:
     """Build and verify the certificate for exponent p and norm budget M.
 
-    Y is the last root of the gap g(r) = r/4 - log(1 + e^h), where
-    h = C_1 + log 4 + C_p r^p, just rounded up. Past r* = (4 C_p p)^(1/(1-p)),
-    g' = 1/4 - sigma(h) C_p p r^(p-1) > 0, since the logistic sigma(h) < 1 and
-    C_p p r*^(p-1) = 1/4. And g(r*) <= r*/4 - h(r*) = -(1-p) C_p r*^p - C_1
-    - log 4 < 0, since C_1 > 0.43 for M > 1; g(1) < 1/4 - h(1) < 0 too. So g
-    has exactly one root in (max(1, r*), hi] once g(hi) > 0, and bisection
-    to adjacent floats finds it; the gap is positive at every r >= Y. Raises
-    NoValidY if no threshold below 1e6 works.
+    Y is the last root of the gap g(r) = r/4 - log(1 + e^h), h = C_1 + log 4
+    + C_p r^p > 0, just rounded up. Past r* = (4 C_p p)^(1/(1-p)), g' = 1/4 -
+    sigma(h) C_p p r^(p-1) > 0 with the logistic sigma(h) < 1: so Y >= r* and
+    g(Y) > 0 give g > 0 on [Y, inf), and g(max(1, r*)) < 0 makes Y the last
+    root. Newton steps on the float gap from the cap 1e6, each at least one
+    float, keep g(a) <= 0 < g(b) (one that leaves it bisects) down to adjacent
+    floats; Y is b raised by 1e-12. These premises and C_1 + log 4 > 0 are
+    checked at the harder ends of [lo, hi] enclosures rounded outward as _dn
+    says (Rump, Acta Numerica 19, 2010), and kept in gap_proof. C_p and C_1
+    are rounded to nearest, and Y is found from them; epsilon0_sq and
+    log_epsilon0_sq are rounded down. NoValidY: a premise fails or Y > 1e6.
     """
     if not 0.0 < p < 1.0:
         raise OutOfRange(f"exponent must lie in (0, 1), got {p}")
@@ -221,48 +247,37 @@ def nondensity_certificate(p: float, M: float) -> NonDensityCertificate:
         raise OutOfRange(f"norm budget must exceed 1, got {M}")
     c_p = cp_constant(p)
     c_1 = math.log(M) + 1.0 - 0.5 * math.log(math.pi)
-
-    def gap(r):
-        return _gap(r, p, c_p, c_1)
-
-    try:
-        r_star = (4.0 * c_p * p) ** (1.0 / (1.0 - p))
-    except OverflowError:
-        r_star = math.inf
-    hi = max(10.0 * r_star, 10.0)
-    if hi > _Y_CAP or gap(_Y_CAP) <= 0:
+    t = (_dn(1.0 - p), _up(1.0 - p))
+    sin = (_dn(math.sin(_dn(0.5 * math.pi * t[0])), 2), _up(math.sin(_up(0.5 * _PI_HI * t[1])), 2))
+    cp = (_dn(2.0 / sin[1]), _up(2.0 / sin[0]))
+    c1 = (_dn(_dn(_dn(math.log(M), 2) + 1.0) - 0.5 * _up(math.log(_PI_HI), 2)),
+          _up(_up(_up(math.log(M), 2) + 1.0) - 0.5 * _dn(math.log(math.pi), 2)))
+    c14 = (_dn(c1[0] + _dn(LOG4, 2)), _up(c1[1] + _up(LOG4, 2)))
+    base = _up(4.0 * p * cp[1])
+    e = _up(1.0 / t[0]) if base >= 1.0 else _dn(1.0 / t[1])  # a base below 1 takes the smaller
+    r_hi = _up(math.pow(base, e), 2) if e * math.log(base) < 700.0 else math.inf
+    a, b, x = max(1.0, r_hi), _Y_CAP, _Y_CAP
+    if not a < b or (gx := _gap(b, p, c_p, c_1)) <= 0:
         raise NoValidY(f"gap inequality not achievable below the cap {_Y_CAP:.1e}")
-    while gap(hi) <= 0:
-        hi *= 2.0
-        if hi > _Y_CAP:
-            raise NoValidY(f"gap inequality not achievable below the cap {_Y_CAP:.1e}")
-
-    # g(a) < 0 < g(b) throughout, until a and b are adjacent floats
-    a, b = max(1.0, r_star), hi
-    while True:
-        mid = 0.5 * (a + b)
-        if not a < mid < b:
-            break
-        if gap(mid) <= 0:
-            a = mid
-        else:
-            b = mid
-    # keep strictly above the root so ulp rounding in later log-spaced
-    # sampling cannot land back on the zero
+    while math.nextafter(a, b) < b:
+        rp = math.pow(x, p)
+        d = 0.25 - c_p * p * rp / (x * (1.0 + math.exp(-(c_1 + LOG4 + c_p * rp))))
+        step = x - gx / d if d > 0 else 0.5 * (a + b)
+        step = min(step, math.nextafter(x, a)) if gx > 0 else max(step, math.nextafter(x, b))
+        x = step if a < step < b else 0.5 * (a + b)
+        gx = _gap(x, p, c_p, c_1)
+        a, b = (x, b) if gx <= 0 else (a, x)
     y = b * (1.0 + 1e-12)
-    if gap(y) <= 0:
-        raise NoValidY("refined threshold failed verification")
-
-    check = np.exp(np.linspace(math.log(y), math.log(10.0 * y), 10_000))
-    if not bool(np.all(gap(check) > 0)):
-        raise BoundViolated("gap inequality failed between Y and 10Y after verification")
-
-    exponent = 2.0 * c_1 + 2.0 * c_p * y**p - 2.0 * y
-    eps = min(1.0, (math.pi / 3.0) * math.exp(exponent))
-    log_eps = float(min(0.0, math.log(math.pi / 3.0) + exponent))
+    proof = {"r_star_upper": r_hi, "gap_Y_lower": _gap_bounds(y, p, cp, c14)[0],
+             "gap_start_upper": _gap_bounds(max(1.0, r_hi), p, cp, c14)[1], "C_1_log4_lower": c14[0]}
+    if not (c14[0] > 0 > proof["gap_start_upper"] and y >= r_hi and proof["gap_Y_lower"] > 0):
+        raise NoValidY(f"threshold premises failed in outward rounding: {proof}")
+    exponent = _dn(_dn(2.0 * c1[0] + _dn(2.0 * cp[0] * _dn(math.pow(y, p), 2))) - 2.0 * y)
+    eps = min(1.0, max(0.0, _dn(_dn(math.pi / 3.0) * _dn(math.exp(exponent), 2))))
+    log_eps = min(0.0, _dn(_dn(math.log(_dn(math.pi / 3.0)), 2) + exponent))
     return NonDensityCertificate(
-        p=p, M=M, C_p=c_p, C_1=c_1, Y=y, epsilon0_sq=eps, gap_samples=len(check),
-        log_epsilon0_sq=log_eps, underflow=eps == 0.0 and math.isfinite(log_eps),
+        p=p, M=M, C_p=c_p, C_1=c_1, Y=y, epsilon0_sq=eps, log_epsilon0_sq=log_eps,
+        underflow=eps == 0.0 and math.isfinite(log_eps), gap_proof=proof,
     )
 
 

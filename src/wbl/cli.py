@@ -152,7 +152,7 @@ def _run_certify(args, out: Path) -> None:
         "log_epsilon0_sq": cert.log_epsilon0_sq,
         "underflow": cert.underflow,
         "checks": {
-            "gap_samples": cert.gap_samples,
+            "gap_proof": cert.gap_proof,
             "poisson": {
                 "n_samples": poisson["n_samples"],
                 "violations": poisson["violations"],

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import mpmath
@@ -554,7 +555,8 @@ def test_second_target_column_matches_one_column_factor(unit_disc, monkeypatch, 
 @pytest.mark.parametrize("leaves", [1, 3])
 def test_transposed_assembly_is_bit_identical_to_columnwise(unit_disc, monkeypatch, leaves):
     """Leaves built row by row as [A | b]^T give, bit for bit, the R of the
-    columnwise np.column_stack assembly: the same products in the same order."""
+    columnwise np.column_stack assembly: the same products in the same order,
+    factored like every QR of bergman on one BLAS thread."""
     w = LogPotential([(0.2 + 0.1j, 1.5)])
     p, s, N = 0.1 - 0.2j, 1.3, 12
     Q = Polynomial((0.3, -1.0, 0.5j), p, s)
@@ -576,10 +578,10 @@ def test_transposed_assembly_is_bit_identical_to_columnwise(unit_disc, monkeypat
             for k in range(1, N + 1):
                 V[:, k] = V[:, k - 1] * zeta
             Ab = np.column_stack([V] + [f(nodes) for f in targets])
-            factors.append(np.linalg.qr(Ab * sqw[:, None], mode="r"))
+            factors.append(bergman._qr_r(Ab * sqw[:, None]))
         while len(factors) > 1:
             paired = [
-                np.linalg.qr(np.vstack(factors[i : i + 2]), mode="r")
+                bergman._qr_r(np.vstack(factors[i : i + 2]))
                 for i in range(0, len(factors) - 1, 2)
             ]
             factors = paired + factors[2 * len(paired) :]
@@ -589,6 +591,27 @@ def test_transposed_assembly_is_bit_identical_to_columnwise(unit_disc, monkeypat
     got = bergman._blocked_lsq(grid, w, p, s, N, targets, Q)
     assert got.shape == (N + 3, N + 3)
     assert np.array_equal(got, columnwise())
+
+
+def test_overlapping_blas_pins_restore_the_count(monkeypatch):
+    """Pins that overlap, as two Python threads inside LAPACK can, hold one
+    thread until the last exits, then restore the count read by the first,
+    whichever exits first; a real QR leaves the bundled count as it found it."""
+    real = bergman._openblas_threads()
+    if real is not None:
+        before = real[0]()
+        bergman._qr_r(np.ones((40, 3)))
+        assert real[0]() == before
+    count = [4]
+    monkeypatch.setattr(bergman, "_openblas_threads", lambda: (lambda: count[0], lambda k: count.__setitem__(0, k)))
+    first, second = bergman._one_blas_thread(), bergman._one_blas_thread()
+    first.__enter__()
+    second.__enter__()
+    assert count == [1]
+    first.__exit__(None, None, None)
+    assert count == [1]
+    second.__exit__(None, None, None)
+    assert count == [4]
 
 
 @pytest.mark.parametrize("N", [0, 1, 3, 20, 40])
@@ -765,6 +788,24 @@ def test_pole_near_the_rim_falls_back_to_the_engine(unit_disc, monkeypatch):
     assert res.polynomial == ref.polynomial and res.error_budget == ref.error_budget
     ks = np.arange(5000)
     terms = math.pi / (ks + 1) / 1.01 ** (2 * ks + 2)
+    oracle = np.array([math.sqrt(terms[n + 1 :].sum()) for n in range(11)])
+    assert np.max(np.abs(res.distances - oracle) / oracle) <= 1e-8
+
+
+def test_zero_tol_on_a_disc_runs_out_of_levels_and_takes_the_engine(unit_disc):
+    """tol = 0 never lets two levels agree, so the route returns to the engine."""
+    res = best_poly_approx(pole_target(2.0), unit_disc, ZeroWeight(), n=10, tol=0.0, max_cells=2000)
+    assert res.route == "engine" and np.all(np.isfinite(res.distances))
+
+
+@pytest.mark.parametrize("a", [1.02, 1.1, 1.5 * cmath.exp(0.3j)])
+def test_slowly_settling_poles_stay_on_the_rotation_route(unit_disc, a):
+    """Poles within a few per cent of the rim settle under the cap and keep
+    the rotation route: 1.02 settles at the last level, M = 2,048."""
+    res = best_poly_approx(pole_target(a), unit_disc, ZeroWeight(), n=10)
+    assert is_rotation(res.route)
+    ks = np.arange(20000)
+    terms = math.pi / (ks + 1) * abs(a) ** -(2.0 * ks + 2.0)
     oracle = np.array([math.sqrt(terms[n + 1 :].sum()) for n in range(11)])
     assert np.max(np.abs(res.distances - oracle) / oracle) <= 1e-8
 

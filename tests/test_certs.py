@@ -291,14 +291,13 @@ _Y_FROZEN = {
 }
 
 # Where the rounded gap changes sign more than once within a few ulps of the
-# root, the one bisection from max(1, r*) lands on another of those floats.
-# These are the underflow cases, with Y above 1e4; each moved by 2 or 3 ulps.
+# root (three times within 12 ulps in each case here), the Newton search from
+# the cap lands on another of those floats. These are underflow cases, with Y
+# above 1e5; each moved by 2 or 3 ulps.
 _Y_MOVED = {
-    (0.7, 5.0): 14284.525579969142,
     (0.75, 1.01): 191015.0804280566,
-    (0.75, 100.0): 191088.5849187103,
-    (0.75, 1e4): 191162.22731632658,
-    (0.75, 1e8): 191309.44838573082,
+    (0.75, 1.5): 191021.40786089853,
+    (0.75, 10.0): 191051.7557416434,
 }
 
 
@@ -335,6 +334,80 @@ def test_threshold_matches_the_sampled_search(monkeypatch):
     for (p, M), y in _Y_MOVED.items():
         y_old = _Y_FROZEN[p][_SWEEP_M.index(M)]
         assert 0 < abs(y - y_old) <= 3 * np.spacing(y_old)
+
+
+def _sign_changes_near(p, M, y, ulps=12):
+    """Sign changes of the rounded gap on the floats within ulps of y / (1 + 1e-12)."""
+    c_p, c_1 = 2.0 / math.cos(0.5 * math.pi * p), math.log(M) + 1.0 - 0.5 * math.log(math.pi)
+    root = y / (1.0 + 1e-12)
+    r = root + np.arange(-ulps, ulps + 1) * np.spacing(root)
+    signs = [wbl.certs._gap(x, p, c_p, c_1) > 0 for x in r.tolist()]
+    return sum(s != t for s, t in zip(signs, signs[1:]))
+
+
+@pytest.mark.parametrize("p, M", sorted(_Y_MOVED))
+def test_moved_thresholds_sit_where_the_rounded_gap_is_noise(p, M):
+    """A moved Y is allowed only where the rounded gap changes sign more than
+    once near the root, so that no search on it has a single answer."""
+    assert _sign_changes_near(p, M, _Y_FROZEN[p][_SWEEP_M.index(M)]) > 1
+
+
+def _premises_mp(p, M, Y):
+    """At 50 digits: C_p, C_1, r*, g at Y and at max(1, r*_upper), and the
+    floor's exponent 2 C_1 + 2 C_p Y^p - 2 Y."""
+    with mpmath.workdps(50):
+        pm, Ym = mpmath.mpf(p), mpmath.mpf(Y)
+        c_p = 2 / mpmath.cos(pm * mpmath.pi / 2)
+        c_1 = mpmath.log(M) + 1 - mpmath.log(mpmath.pi) / 2
+
+        def gap(r):
+            return mpmath.mpf(r) / 4 - mpmath.log(1 + 4 * mpmath.exp(c_1 + c_p * mpmath.mpf(r) ** pm))
+
+        r_star = (4 * c_p * pm) ** (1 / (1 - pm))
+        return c_p, c_1, r_star, gap, 2 * c_1 + 2 * c_p * Ym**pm - 2 * Ym
+
+
+@pytest.mark.parametrize("p", sorted(_Y_FROZEN))
+def test_every_reported_bound_lies_on_its_side(p):
+    """Over the frozen sweep each premise of gap_proof, and each constant of
+    the certificate, against its 50-digit value: C_p and C_1 within an ulp
+    (round to nearest), r_star_upper >= r*, Y >= r*, gap_Y_lower <= g(Y),
+    gap_start_upper >= g(max(1, r_star_upper)), C_1_log4_lower <= C_1 + log 4,
+    and epsilon0_sq, log_epsilon0_sq at or below the floor and its log."""
+    for M in _SWEEP_M:
+        cert = nondensity_certificate(p, M)
+        proof = cert.gap_proof
+        c_p, c_1, r_star, gap, exponent = _premises_mp(p, M, cert.Y)
+        with mpmath.workdps(50):
+            assert abs(cert.C_p - c_p) <= math.ulp(cert.C_p), (p, M)
+            assert abs(cert.C_1 - c_1) <= math.ulp(cert.C_1), (p, M)
+            assert cert.Y >= proof["r_star_upper"] >= r_star, (p, M)
+            assert 0 < proof["gap_Y_lower"] <= gap(cert.Y), (p, M)
+            assert gap(max(1.0, proof["r_star_upper"])) <= proof["gap_start_upper"] < 0, (p, M)
+            assert 0 < proof["C_1_log4_lower"] <= c_1 + mpmath.log(4), (p, M)
+            assert cert.log_epsilon0_sq <= min(0, mpmath.log(mpmath.pi / 3) + exponent), (p, M)
+            assert 0 <= cert.epsilon0_sq <= min(1, mpmath.pi / 3 * mpmath.exp(exponent)), (p, M)
+            # rounded down, but by a few ulps of the exponent only
+            assert cert.log_epsilon0_sq >= (mpmath.log(mpmath.pi / 3) + exponent) * (1 + 1e-14)
+
+
+def test_certificate_values_the_gap_at_few_floats(monkeypatch):
+    """The threshold search values the gap at single floats, at most 40 per
+    certificate on the sweep; no array of samples is valued."""
+    calls = []
+    gap = wbl.certs._gap
+
+    def counted(r, *args):
+        calls.append(r)
+        return gap(r, *args)
+
+    monkeypatch.setattr(wbl.certs, "_gap", counted)
+    for p in _Y_FROZEN:
+        for M in _SWEEP_M:
+            calls.clear()
+            nondensity_certificate(p, M)
+            assert all(type(r) is float for r in calls), (p, M)
+            assert 0 < len(calls) <= 40, (p, M, len(calls))
 
 
 def test_scalar_gap_is_bitwise_the_vector_gap():

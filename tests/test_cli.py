@@ -69,7 +69,10 @@ def test_certify_formula_values(tmp_path):
     assert doc["epsilon0_sq"] > 0
     assert doc["log_epsilon0_sq"] == pytest.approx(math.log(doc["epsilon0_sq"]), rel=1e-12)
     assert doc["checks"]["poisson"]["violations"] == 0
-    assert doc["checks"]["gap_samples"] == 10000
+    proof = doc["checks"]["gap_proof"]
+    assert set(proof) == {"r_star_upper", "gap_Y_lower", "gap_start_upper", "C_1_log4_lower"}
+    assert proof["gap_Y_lower"] > 0 > proof["gap_start_upper"] and proof["C_1_log4_lower"] > 0
+    assert doc["Y"] >= proof["r_star_upper"] >= 1.0
 
 
 @pytest.mark.parametrize("argv, rc, underflow", [
@@ -304,14 +307,25 @@ def test_headers_name_the_route(tmp_path):
 
 
 README_DISC = dict(DISC_SCAN, quad={"tol": 1e-10, "rule_order": 12, "max_cells": 100000})
+README_MOON = {
+    "domain": {"type": "moon", "outer": {"c": [0, 0], "r": 1}, "inner": {"c": [0.45, 0], "r": 0.55}},
+    "weight": {"type": "zero"},
+    "target": "inv-sqrt",
+    "N_max": 20,
+    "quad": README_DISC["quad"],
+}
 
 
-@pytest.mark.parametrize("cmd, artifact", [("gram", "gram.csv"), ("density-scan", "density_scan.csv")])
-def test_artifacts_do_not_depend_on_blas_threads(tmp_path, cmd, artifact):
-    """The README disc config gives the same bytes under one and two BLAS
-    threads; the variable is read when numpy loads, so each run is a fresh
-    interpreter."""
-    cfg = write_config(tmp_path, README_DISC)
+@pytest.mark.parametrize("cmd, artifact, doc", [
+    ("gram", "gram.csv", README_DISC),
+    ("density-scan", "density_scan.csv", README_DISC),
+    ("moon-criterion", "moon_criterion.json", README_MOON),
+], ids=["gram-gram.csv", "density-scan-density_scan.csv", "moon-criterion-moon_criterion.json"])
+def test_artifacts_do_not_depend_on_blas_threads(tmp_path, cmd, artifact, doc):
+    """The README disc and moon configs give the same bytes under one and two
+    BLAS threads; the variable is read when numpy loads, so each run is a
+    fresh interpreter. The moon's least squares runs QRs on the engine route."""
+    cfg = write_config(tmp_path, doc)
     src = str(Path(wbl.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     outs = []
